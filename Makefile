@@ -21,12 +21,13 @@ STATICCHECK_VERSION := 2025.1.1
 WAKE_BENCH := BenchmarkWakeDependents/indexed
 
 # The barrier-split benchmark: prepare vs commit cost per batch under
-# the n=4096 hot-frontier transient, serial (Workers=1) vs sharded
-# (Workers=4). Tracked warn-only — its wall-clock carries the phase-3
-# parallelization story, but allocation counts vary with the worker
-# pool so it stays out of the -fail-allocs gate. (The benchmark also
-# has an n=16384 series for by-hand acceptance runs; only n=4096 is
-# recorded.)
+# the n=4096 hot-frontier transient. The series keep their historical
+# names: "serial" runs Workers=1, "sharded" Workers=4 of the parallel
+# prepare (the commit is serial in both). Tracked warn-only — its
+# wall-clock carries the phase-3 parallelization story, but allocation
+# counts vary with the worker pool so it stays out of the -fail-allocs
+# gate. (The benchmark also has an n=16384 series for by-hand
+# acceptance runs; only n=4096 is recorded.)
 BARRIER_BENCH := BenchmarkBarrierCommit/.*/n=4096
 
 # Serving-layer benchmarks tracked in BENCH_lookups.json: cached vs

@@ -75,15 +75,12 @@ type AsyncRunner struct {
 	// the runner having to observe the departure.
 	sched []uint32
 
-	deliveries int                    // pending delivery events
-	inflight   int                    // messages inside pending delivery events
-	fIdx       int                    // prefix of nw.frontier already drained
-	active     []uint32               // batch scratch (slots)
-	pend       []uint32               // drain scratch (slots)
-	newBy      map[ident.ID][]Message // routing scratch
-	oldBy      map[ident.ID][]Message // routing scratch
-	touched    []ident.ID             // routing scratch
-	fp         uint64                 // event-order fingerprint
+	deliveries int      // pending delivery events
+	inflight   int      // messages inside pending delivery events
+	fIdx       int      // prefix of nw.frontier already drained
+	active     []uint32 // batch scratch (slots)
+	pend       []uint32 // drain scratch (slots)
+	fp         uint64   // event-order fingerprint
 }
 
 // AsyncConfig parameterizes the adversary.
@@ -349,117 +346,35 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 	}
 }
 
-// route is the runner's barrier output routing, called for every
-// active peer with whether the run changed its total output and its
-// own protocol state. Per recipient link:
-//
-//   - An unchanged contribution is (if not yet) installed as the
-//     standing bucket, silently: its content already reached the
-//     recipient when it last changed, the bucket is just the repeating
-//     representation from then on.
-//   - A changed contribution of a STATE-CHANGING run revokes the
-//     standing bucket and travels as one-shot messages after a drawn
-//     delay (delay 1 lands in the recipient's inbox at this barrier,
-//     the synchronous timing: it is consumed next step). This is the
-//     faithful per-emission semantics for knowledge handoffs: a rule-4
-//     forward moves an edge out of the sender's state into the
-//     message, so it must arrive exactly once and never be destroyed
-//     by a bucket rewrite — and, conversely, must not be replayed out
-//     of a bucket after the system moved past it.
-//   - A changed contribution of a STATE-STABLE run is rewritten into
-//     the standing bucket exactly like the synchronous barrier does.
-//     These are the self-regenerating relay flows (rules 3, 5 and 6
-//     keep re-deriving them from unchanged state every run); carrying
-//     them in buckets gives every downstream run the same input view,
-//     so relay chains stop flapping with arrival phases and the
-//     network can actually quiesce. Either failure mode is real:
-//     one-shot relays never settle (phase-dependent outputs forever),
-//     bucket-carried handoffs destabilize convergence (stale replays).
-//
-// Recipients are visited in identifier order so the rng draw sequence
-// is reproducible.
-func (a *AsyncRunner) route(n *RealNode, out []Message, outChanged, stateChanged bool) {
+// shipHandoffs consumes the batch's effect lists: every handoff effect
+// (see prepAsyncEffects) gets a delay drawn from the delay model and
+// its span travels as one-shot messages — delay 1 lands in the
+// recipient's inbox at this barrier, the synchronous timing, consumed
+// next step. Effects are visited in active order and, per sender, in
+// recipient order, so the RNG draw sequence is reproducible.
+func (a *AsyncRunner) shipHandoffs(active []uint32) {
 	nw := a.nw
-	if a.newBy == nil {
-		a.newBy = make(map[ident.ID][]Message)
-		a.oldBy = make(map[ident.ID][]Message)
-	}
-	newBy, oldBy, touched := a.newBy, a.oldBy, a.touched[:0]
-	for _, m := range out {
-		if _, ok := newBy[m.To.Owner]; !ok {
-			touched = append(touched, m.To.Owner)
-		}
-		newBy[m.To.Owner] = append(newBy[m.To.Owner], m)
-	}
-	// tpl is the template the standing buckets will reference: the batch
-	// template when the output changed (Network.routeFlow, adopted as
-	// lastFlow right after this callback), the current lastFlow
-	// otherwise (its spans are the unchanged output, by the settle
-	// predicate).
-	tpl := nw.routeFlow
-	if tpl == nil {
-		tpl = n.lastFlow
-	}
-	if outChanged && n.lastFlow != nil {
-		lf := n.lastFlow
-		for siOld := range lf.spans {
-			owner := lf.spans[siOld].owner
-			if _, inNew := newBy[owner]; !inNew {
-				touched = append(touched, owner)
-			}
-			oldBy[owner] = lf.appendSpan(oldBy[owner], int32(siOld))
-		}
-	}
-	ident.Sort(touched)
-	h := n.h()
-	for _, dstID := range touched {
-		newC := newBy[dstID]
-		changed := outChanged && !sameMessages(oldBy[dstID], newC)
-		dstSlot, alive := nw.pt.lookup(dstID)
-		var dst *RealNode
-		if alive {
-			dst = nw.pt.nodes[dstSlot]
-		}
-		switch {
-		case !changed:
-			// Run-stable contribution: ensure the standing bucket holds
-			// it, without waking the recipient.
-			if alive && len(newC) > 0 {
-				nw.installBucketQuiet(dst, h, tpl, tpl.findSpan(dstID))
-			}
-		case !stateChanged:
-			// Relay flow: synchronous bucket rewrite, waking the
-			// recipient when its standing input changed (an absent span
-			// deletes the bucket).
-			nw.rerouteSpan(h, dstID, tpl, tpl.findSpan(dstID))
-		case len(newC) == 0:
-			if nw.dropBucket(dst, alive, h) {
-				nw.markDirtyIdx(dstSlot)
-			}
-		default:
-			nw.dropBucket(dst, alive, h)
-			if !alive {
+	for i, slot := range active {
+		n := nw.pt.nodes[slot]
+		for _, e := range nw.prep[i].effects {
+			if e.kind != effShot {
 				continue
 			}
-			d := clampDelay(a.cfg.Delay.Delay(a.rng, n.id, dstID), 0)
+			dst := nw.pt.nodes[e.dst]
+			d := clampDelay(a.cfg.Delay.Delay(a.rng, n.id, dst.id), 0)
 			if d <= 1 {
-				// Synchronous timing: lands now, consumed next step.
-				a.mixEvent(evDelivery, a.step, dstID)
-				dst.inbox = append(dst.inbox, newC...)
-				nw.markDirtyIdx(dstSlot)
+				a.mixEvent(evDelivery, a.step, dst.id)
+				dst.inbox = n.lastFlow.appendSpan(dst.inbox, e.span)
+				nw.markDirtyIdx(e.dst)
 				continue
 			}
+			msgs := n.lastFlow.appendSpan(nil, e.span)
 			a.seq++
 			a.deliveries++
-			a.inflight += len(newC)
-			heap.Push(&a.events, &asyncEvent{at: a.step + d, seq: a.seq, kind: evDelivery, peer: dstID, hidx: dst.idx, hgen: dst.gen, msgs: newC})
+			a.inflight += len(msgs)
+			heap.Push(&a.events, &asyncEvent{at: a.step + d, seq: a.seq, kind: evDelivery, peer: dst.id, hidx: dst.idx, hgen: dst.gen, msgs: msgs})
 		}
 	}
-	for _, dstID := range touched {
-		delete(newBy, dstID)
-		delete(oldBy, dstID)
-	}
-	a.touched = touched
 }
 
 // Step advances virtual time by one: deliver the due one-shot
@@ -531,9 +446,11 @@ func (a *AsyncRunner) Step() RoundStats {
 			a.mixEvent(evActivation, now, nw.pt.ids[slot])
 		}
 		stats.Activated = len(active)
-		if nw.runBatch(active, true, a.route, &stats) {
+		if nw.runBatch(active, batchAsync, &stats) {
 			changed = true
 		}
+		a.shipHandoffs(active)
+		nw.finishBatch()
 	}
 	a.active = active[:0]
 

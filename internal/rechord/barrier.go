@@ -1,7 +1,6 @@
 package rechord
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -9,57 +8,46 @@ import (
 	"repro/internal/ref"
 )
 
-// This file is the sharded round barrier: phase 3 of runBatch, split
-// into a parallel *prepare* sub-phase and an ownership-partitioned
-// *commit*, with a short serial epilogue. The ROADMAP's "serial
-// publish/reroute phase" — the last serial section of a batch — is
-// gone; what remains serial is O(frontier) bookkeeping (epoch stamps,
-// settle decisions, map merges), not the O(frontier x fanout) bucket
-// and index rewriting.
-//
-// The phases and their ownership story:
+// This file is the round barrier shared by every scheduler: phase 3 of
+// runBatch, split into a parallel *prepare* that turns each active
+// peer's run into an ordered effect list, a serial *commit* that
+// applies those lists, and a short serial epilogue.
 //
 //   - Prepare (parallel over active indexes): each active peer i
 //     publishes its own view/level slot (view[slot], maxLv[slot] — no
 //     other peer's prepare reads them, rules only read the view during
-//     phase 2), computes outChanged/stateChanged and the paranoid
-//     cross-check verdict, and — for the synchronous engine — diffs
-//     its output against the recipients' standing buckets and its edge
-//     sets against its stored dependency multiset, writing the
-//     resulting bucket ops and index deltas ONLY into its own prepOut
-//     scratch. Buckets and the dep index are read, never written.
-//   - Commit (parallel over commit workers): recipients are
-//     partitioned by slot (slot % workers) and dependency-index shards
-//     by depShardOf(id) % workers, so every standing bucket, dirty
-//     flag and index shard has exactly one writing worker. Per-worker
-//     frontier appends and bucketMsgs tallies merge serially after.
+//     phase 2), takes the settle and output-change verdicts, re-derives
+//     its edge-set dependency multiset when its state changed, and
+//     diffs its output against the standing buckets it owns at its
+//     recipients. The result lands ONLY in its own prepOut: the
+//     dependency deltas and the effect list. Buckets and the dep index
+//     are read, never written.
+//   - Commit (serial, active order): applies each peer's dependency
+//     deltas and bucket effects through writeBucket, the package's one
+//     bucket write, which keeps bucketMsgs, the dep index, the flow
+//     tally and the recipients' wakes in step.
 //   - Epilogue (serial, active order): epoch bumps (the global epoch
-//     clock is ordered state), settle bookkeeping, lastOut swaps,
-//     paranoid panics deferred out of pool goroutines, and the merge
-//     of per-index change sets into the reusable viewChanged/
-//     ownerChanged maps feeding wakeDependents.
+//     clock is ordered state), settle bookkeeping, lastFlow swaps,
+//     paranoid panics deferred out of pool goroutines, and the merge of
+//     per-index change sets into the reusable viewChanged/ownerChanged
+//     maps feeding wakeDependents.
+//
+// The effect list is the one thing the three schedulers consume
+// differently, after runBatch returns and before finishBatch: the
+// synchronous engine is done once it is committed; the asynchronous
+// runner draws a delay for each handoff effect and ships its span as
+// one-shot messages; the partition ships the waking bucket effects
+// whose recipient it does not host, then its peers' publishes.
 //
 // Why Workers=1 and Workers=N stay snapshot-for-snapshot identical:
-// every commit write is keyed by (sender handle, recipient slot) or
-// (referenced id, dependent slot) and each key is written at most once
-// per batch by construction (prepare emits at most one op per sender/
-// recipient pair), so the final buckets are order-independent; dep
-// index counts commute; the frontier is an order-insensitive SET (both
-// collectFrontier and the async drainFrontier sort by identifier
-// before consuming it); and everything order-sensitive — epoch stamps,
-// RNG-consuming route callbacks, telemetry — runs in the serial
-// epilogue in active (identifier) order, exactly as the old serial
-// phase 3 did. The event-driven schedulers (async, partition) keep
-// their route callbacks in the epilogue for the same reason: the async
-// route draws RNG per changed recipient and the partition route emits
-// ordered sink traffic, both of which must not depend on worker count.
-//
-// Dep-index deltas tolerate any application order within a shard: every
-// remove emitted by prepare refers to a reference that was counted in
-// the index before the batch (old bucket contents, old stateDeps
-// entries — disjoint categories), so at any prefix of any interleaving
-// the entry's count is at least the remaining removes and the underflow
-// panic cannot fire spuriously.
+// prepare writes only per-index and own-slot state, and it reads only
+// state no prepare writes (a sender's bucket at a recipient is keyed by
+// the sender, so no two peers' diffs touch the same bucket); everything
+// order-sensitive — the commit, epoch stamps, the RNG draws of the
+// asynchronous runner, the partition's sink traffic — runs serially in
+// active (identifier) order. The frontier is an order-insensitive SET
+// (collectFrontier and the async drainFrontier sort it by identifier
+// before consuming it).
 
 // batchRun is the persistent fan-out machinery of runBatch: one task
 // closure, WaitGroup and work counter reused across every batch (the
@@ -74,7 +62,7 @@ type batchRun struct {
 	task func()
 
 	// per-phase bodies, built once on first use
-	phase1, phase2, prepare, commit func(i int)
+	phase1, phase2, prepare func(i int)
 
 	// anyInbox records that phase 1 consumed a one-shot message
 	// somewhere (a global-state change even when no peer state moved).
@@ -94,10 +82,9 @@ func (nw *Network) parallelism() int {
 }
 
 // runParallel fans f(i) for i in [0, n) over the worker pool; f must
-// only touch per-index/per-peer state (or, for the commit phase,
-// state its index exclusively owns). w <= 1 — or a single item — runs
-// inline on the caller's goroutine, which is also what keeps paranoid
-// panics recoverable in the serial configuration.
+// only touch per-index/per-peer state. w <= 1 — or a single item —
+// runs inline on the caller's goroutine, which is also what keeps
+// paranoid panics recoverable in the serial configuration.
 func (nw *Network) runParallel(w, poolSize, n int, f func(i int)) {
 	if n == 0 {
 		return
@@ -149,21 +136,22 @@ type prepOut struct {
 
 	// viewRefs lists the virtual refs whose published rl/rr entry
 	// changed this batch (merged into the barrier's viewChanged map by
-	// the epilogue).
+	// the epilogue). Together with ownerChanged it is the peer's
+	// publish set.
 	viewRefs []ref.Ref
 
 	// newFlow is the freshly frozen template of this batch's output,
-	// built whenever outChanged (for every engine: the sync commit's ops
-	// point into it, the serial-route schedulers read it through
-	// Network.routeFlow). It carries one reference that the epilogue
-	// hands to the peer's lastFlow.
+	// built whenever outChanged. It carries one reference that the
+	// epilogue hands to the peer's lastFlow.
 	newFlow *flowTemplate
 
-	// Synchronous-engine commit payload (empty for serial-route
-	// schedulers): the bucket rewrites this sender wants and the
-	// dep-index deltas they plus the peer's edge-set diff imply.
-	ops  []bucketOp
-	deps []depDelta
+	// effects is the peer's effect list: its bucket rewrites at its
+	// recipients (spans of the batch template — newFlow, or lastFlow
+	// when the output did not change), in the order prepFlowEffects or
+	// prepAsyncEffects emits them. deps are the dependency-index deltas
+	// of the peer's own edge-set change.
+	effects []bucketEffect
+	deps    []depDelta
 
 	// scratch: recipient grouping (frozen into newFlow before the
 	// commit), the output-diff cursors, the template symbol collector,
@@ -175,47 +163,53 @@ type prepOut struct {
 	counts  []ownerCount
 }
 
-// bucketOp is one standing-bucket rewrite: sender (implied by the
-// prepOut's index) points the recipient's bucket at span `span` of the
-// batch template (prepOut.newFlow); span -1 deletes the bucket. quiet
-// ops repoint a content-identical bucket at the new template without
-// waking the recipient or touching the dep index — they exist so that
-// at most one template generation per sender stays live at rest.
-type bucketOp struct {
-	dstSlot uint32
-	delta   int32 // bucketMsgs adjustment (new len - old len)
-	span    int32
-	quiet   bool
+// effectKind says how writeBucket applies a bucket effect.
+type effectKind uint8
+
+const (
+	// effSet rewrites the bucket (span -1 deletes it) and wakes the
+	// recipient: its standing input changed.
+	effSet effectKind = iota
+	// effQuiet rewrites the bucket without waking the recipient: the
+	// asynchronous runner's run-stable install, whose content already
+	// reached the recipient as one-shot messages.
+	effQuiet
+	// effRepoint moves a content-identical bucket to the batch template,
+	// a storage-only change that lets the old generation die.
+	effRepoint
+	// effShot is the asynchronous runner's handoff: the commit drops the
+	// bucket quietly, and the runner ships the span as one-shot messages
+	// after a drawn delay.
+	effShot
+)
+
+// bucketEffect is one entry of a peer's effect list: make the peer's
+// standing bucket at the recipient slot hold span `span` of the batch
+// template, or hold nothing when span is -1.
+type bucketEffect struct {
+	dst  uint32
+	span int32
+	kind effectKind
 }
 
-// depDelta is one inverted-index adjustment: k > 0 adds, k < 0 removes
-// references from the dependent slot to the identifier.
+// depDelta is one inverted-index adjustment from the peer's own slot:
+// k > 0 adds, k < 0 removes references to the identifier.
 type depDelta struct {
-	id   ident.ID
-	slot uint32
-	k    int32
-}
-
-// commitShard is one commit worker's private output: the frontier
-// slots it dirtied, its bucketMsgs adjustment, and its flow-storage
-// accounting, merged serially after the commit barrier.
-type commitShard struct {
-	frontier   []uint32
-	bucketMsgs int
-	flow       flowTally
+	id ident.ID
+	k  int32
 }
 
 // prepareIndex is the parallel prepare body for active index i: the
-// publish diff, the settle verdicts, and (synchronous engine only) the
-// bucket ops and dep deltas the commit will apply. Writes touch only
-// the peer's own view/maxLv/stateDeps slots and prep[i].
+// publish diff, the settle verdicts, the dependency deltas and the
+// effect list. Writes touch only the peer's own view/maxLv/stateDeps
+// slots and prep[i].
 func (nw *Network) prepareIndex(i int) {
 	slot := nw.bActive[i]
 	n := nw.pt.nodes[slot]
 	res := &nw.results[i]
 	p := &nw.prep[i]
 	p.viewRefs = p.viewRefs[:0]
-	p.ops = p.ops[:0]
+	p.effects = p.effects[:0]
 	p.deps = p.deps[:0]
 	p.ownerChanged, p.paranoidBad = false, false
 
@@ -260,7 +254,7 @@ func (nw *Network) prepareIndex(i int) {
 	// goroutine could not be recovered by the tests that prove the
 	// paranoid mode catches injected collisions.
 	p.stateChanged = false
-	if nw.bSettle {
+	if nw.bMode != batchSweep {
 		p.stateChanged = res.hchanged
 		if nw.cfg.ParanoidSettle {
 			if cloneChanged := !n.vnodesEqual(nw.pres[i]); cloneChanged != p.stateChanged {
@@ -276,27 +270,24 @@ func (nw *Network) prepareIndex(i int) {
 	p.outChanged = !flowEqualsOutput(n.lastFlow, res.out, &p.cursors)
 	p.newFlow = nil
 	if p.outChanged {
-		// Freeze the new output for every engine: the sync commit's ops
-		// index into it, the serial-route schedulers install from it.
 		nw.prepFlow(res.out, p)
 	}
 
-	if nw.bSync {
-		if res.hchanged {
-			// The peer's edge sets changed: re-derive its dependency
-			// contribution and turn the diff into commit deltas.
-			nw.prepStateDeps(slot, n, p)
-		}
-		if p.outChanged {
-			nw.prepFlowOps(n, p)
-		}
+	if res.hchanged {
+		// The peer's edge sets changed: re-derive its dependency
+		// contribution and turn the diff into commit deltas.
+		nw.prepStateDeps(slot, n, p)
+	}
+	if nw.bMode == batchAsync {
+		nw.prepAsyncEffects(n, p)
+	} else if p.outChanged {
+		nw.prepFlowEffects(n, p)
 	}
 }
 
-// prepStateDeps is refreshStateDeps recast for the parallel prepare:
-// the recomputed multiset replaces the peer's own stateDeps slot (an
-// own-slot write), and the index-side adjustments become deltas for
-// the sharded commit instead of direct mutations.
+// prepStateDeps recomputes the peer's edge-set dependency multiset,
+// replaces its stateDeps slot with it (an own-slot write) and appends
+// the difference to the stored one to p.deps, for applyDeps.
 func (nw *Network) prepStateDeps(slot uint32, n *RealNode, p *prepOut) {
 	buf := p.owners[:0]
 	for _, v := range n.vnodes {
@@ -332,20 +323,31 @@ func (nw *Network) prepStateDeps(slot uint32, n *RealNode, p *prepOut) {
 	for i < len(old) || j < len(nc) {
 		switch {
 		case j == len(nc) || (i < len(old) && old[i].owner < nc[j].owner):
-			p.deps = append(p.deps, depDelta{id: old[i].owner, slot: slot, k: -int32(old[i].cnt)})
+			p.deps = append(p.deps, depDelta{id: old[i].owner, k: -int32(old[i].cnt)})
 			i++
 		case i == len(old) || nc[j].owner < old[i].owner:
-			p.deps = append(p.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt)})
+			p.deps = append(p.deps, depDelta{id: nc[j].owner, k: int32(nc[j].cnt)})
 			j++
 		default:
 			if nc[j].cnt != old[i].cnt {
-				p.deps = append(p.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt) - int32(old[i].cnt)})
+				p.deps = append(p.deps, depDelta{id: nc[j].owner, k: int32(nc[j].cnt) - int32(old[i].cnt)})
 			}
 			i++
 			j++
 		}
 	}
 	nw.stateDeps[slot] = append(old[:0], nc...)
+}
+
+// applyDeps applies the peer slot's dependency deltas to the index.
+func (nw *Network) applyDeps(slot uint32, deps []depDelta) {
+	for _, d := range deps {
+		if d.k > 0 {
+			nw.deps.add(d.id, slot, uint32(d.k))
+		} else {
+			nw.deps.remove(d.id, slot, uint32(-d.k))
+		}
+	}
 }
 
 // groupByRecipient sorts out into per-recipient groups (preserving
@@ -389,155 +391,149 @@ func (nw *Network) prepFlow(out []Message, p *prepOut) {
 	p.newFlow, p.symbuf = buildFlow(p.groups, ng, len(out), p.symbuf)
 }
 
-// prepFlowOps is the read-only half of the old reroute: diff each
-// recipient span of the new template against the current standing
-// bucket and emit one bucketOp plus the implied dep deltas. Recipients
-// of the old flow with no new contribution get a delete op; unchanged
-// contributions get a quiet repoint op so the old template generation
-// can die. Buckets are only read here — concurrent prepares may read
-// the same recipient's table.
-func (nw *Network) prepFlowOps(n *RealNode, p *prepOut) {
+// prepFlowEffects is the synchronous rule: every recipient span of the
+// new template that differs from the standing bucket is rewritten
+// (waking the recipient), recipients of the old flow with no new
+// contribution lose their bucket, and unchanged contributions are
+// repointed at the new generation. Deletions come first, then the new
+// spans in recipient order — the order the partition ships them in.
+func (nw *Network) prepFlowEffects(n *RealNode, p *prepOut) {
 	nf := p.newFlow
 	if old := n.lastFlow; old != nil {
 		for _, sp := range old.spans {
 			if nf.findSpan(sp.owner) < 0 {
-				nw.prepOneOp(n.h(), sp.owner, nf, -1, p)
+				nw.prepEffect(n, sp.owner, nf, -1, false, p)
 			}
 		}
 	}
 	for si := range nf.spans {
-		nw.prepOneOp(n.h(), nf.spans[si].owner, nf, int32(si), p)
+		nw.prepEffect(n, nf.spans[si].owner, nf, int32(si), false, p)
 	}
 }
 
-// prepOneOp diffs one (sender, recipient) contribution — span si of nf,
-// or a deletion when si < 0 — and records the rewrite and its dep
-// deltas. Mirrors rerouteSpan's decisions exactly, split at the
-// read/write boundary.
-func (nw *Network) prepOneOp(sender handle, dstID ident.ID, nf *flowTemplate, si int32, p *prepOut) {
+// prepAsyncEffects is the asynchronous runner's three-way rule, decided
+// per recipient link in identifier order (the order the runner draws
+// the handoffs' delays in):
+//
+//   - A contribution that did not change since the sender's last run is
+//     run-stable: it is (if not yet) installed as the standing bucket,
+//     without waking the recipient — its content already reached the
+//     recipient when it last changed.
+//   - A changed contribution of a STATE-STABLE run is a relay flow
+//     (rules 3, 5 and 6 keep re-deriving it from unchanged state) and is
+//     rewritten into the standing bucket exactly like the synchronous
+//     rule does, so every downstream run sees the same input view and
+//     relay chains stop flapping with arrival phases.
+//   - A changed contribution of a STATE-CHANGING run is a handoff (a
+//     rule-4 forward moves an edge out of the sender's state into the
+//     message): the bucket is revoked, and the new version travels as
+//     one-shot messages, consumed exactly once — never replayed out of a
+//     bucket after the system moved past it. A handoff to no
+//     contribution deletes the bucket and wakes the recipient.
+func (nw *Network) prepAsyncEffects(n *RealNode, p *prepOut) {
+	lf := n.lastFlow
+	if !p.outChanged {
+		if lf != nil {
+			for si := range lf.spans {
+				nw.prepEffect(n, lf.spans[si].owner, lf, int32(si), true, p)
+			}
+		}
+		return
+	}
+	nf := p.newFlow
+	var old []flowSpan
+	if lf != nil {
+		old = lf.spans
+	}
+	for i, j := 0, 0; i < len(old) || j < len(nf.spans); {
+		oi, ni := int32(-1), int32(-1)
+		var dstID ident.ID
+		switch {
+		case j == len(nf.spans) || (i < len(old) && old[i].owner < nf.spans[j].owner):
+			dstID, oi = old[i].owner, int32(i)
+			i++
+		case i == len(old) || nf.spans[j].owner < old[i].owner:
+			dstID, ni = nf.spans[j].owner, int32(j)
+			j++
+		default:
+			dstID, oi, ni = old[i].owner, int32(i), int32(j)
+			i++
+			j++
+		}
+		switch {
+		case oi >= 0 && ni >= 0 && spansEqual(lf, oi, nf, ni):
+			nw.prepEffect(n, dstID, nf, ni, true, p)
+		case !p.stateChanged || ni < 0:
+			nw.prepEffect(n, dstID, nf, ni, false, p)
+		default:
+			if slot, ok := nw.pt.lookup(dstID); ok {
+				p.effects = append(p.effects, bucketEffect{dst: slot, span: ni, kind: effShot})
+			}
+		}
+	}
+}
+
+// prepEffect appends the effect that makes n's bucket at the recipient
+// hold span si of t (nothing when si < 0), if the bucket does not
+// already; quiet turns a waking rewrite into a silent one. Departed
+// recipients get no effect.
+func (nw *Network) prepEffect(n *RealNode, dstID ident.ID, t *flowTemplate, si int32, quiet bool, p *prepOut) {
 	slot, ok := nw.pt.lookup(dstID)
 	if !ok {
-		return // destination departed
+		return
 	}
-	dst := nw.pt.nodes[slot]
+	kind, ok := diffBucket(nw.pt.nodes[slot], n.h(), t, si)
+	if !ok {
+		return
+	}
+	if quiet && kind == effSet {
+		kind = effQuiet
+	}
+	p.effects = append(p.effects, bucketEffect{dst: slot, span: si, kind: kind})
+}
+
+// diffBucket decides how the sender's bucket at dst must change to hold
+// span si of t (nothing when si < 0): a rewrite when the content
+// differs, a repoint when only a shared template generation does, and
+// ok=false when the bucket is already right. It only reads the bucket.
+func diffBucket(dst *RealNode, sender handle, t *flowTemplate, si int32) (kind effectKind, ok bool) {
 	bi := dst.findBucket(sender)
+	if bi < 0 {
+		return effSet, si >= 0
+	}
 	if si < 0 {
-		if bi < 0 {
-			return
-		}
-		old := dst.in[bi]
-		p.ops = append(p.ops, bucketOp{dstSlot: slot, delta: -int32(old.flow.spanLen(old.span)), span: -1})
-		appendSpanDeps(&p.deps, old.flow, old.span, slot, -1)
-		return
+		return effSet, true
 	}
-	if bi >= 0 {
-		old := dst.in[bi]
-		if spansEqual(old.flow, old.span, nf, si) {
-			// Content identical: repoint storage to the new generation
-			// without waking the recipient, so the old generation can
-			// die. (old.flow == nf is impossible here — nf was built
-			// this batch.) Private buckets pin no generation, so
-			// deep-copy mode skips the op entirely, like the
-			// pre-sharing engine did.
-			if !old.flow.private {
-				p.ops = append(p.ops, bucketOp{dstSlot: slot, span: si, quiet: true})
-			}
-			return
-		}
-		p.ops = append(p.ops, bucketOp{dstSlot: slot, delta: int32(nf.spanLen(si) - old.flow.spanLen(old.span)), span: si})
-		appendSpanDeps(&p.deps, old.flow, old.span, slot, -1)
-		appendSpanDeps(&p.deps, nf, si, slot, 1)
-		return
+	old := dst.in[bi]
+	if !spansEqual(old.flow, old.span, t, si) {
+		return effSet, true
 	}
-	p.ops = append(p.ops, bucketOp{dstSlot: slot, delta: int32(nf.spanLen(si)), span: si})
-	appendSpanDeps(&p.deps, nf, si, slot, 1)
+	// Private templates (partition shadows, test copies) pin no shared
+	// generation, so only shared-to-shared moves are worth a repoint.
+	return effRepoint, old.flow != t && !old.flow.private && !t.private
 }
 
-// appendSpanDeps emits one dep delta of weight k per message in span si
-// of t, keyed by the message's Add owner.
-func appendSpanDeps(deps *[]depDelta, t *flowTemplate, si int32, slot uint32, k int32) {
-	sp := t.spans[si]
-	for i := sp.start; i < sp.end; i++ {
-		*deps = append(*deps, depDelta{id: t.syms[t.packed[i].sym], slot: slot, k: k})
-	}
-}
-
-// commitWorker applies the shard owned by commit worker w: bucket ops
-// whose recipient slot it owns and dep deltas whose index shard it
-// owns. Scanning every prepOut is cheap relative to applying (ops are
-// only emitted for changed buckets); the writes are the expensive part
-// and they are perfectly partitioned.
-func (nw *Network) commitWorker(w int) {
-	C := nw.commitW
-	sh := &nw.commit[w]
-	sh.bucketMsgs = 0
-	sh.frontier = sh.frontier[:0]
-	sh.flow = flowTally{}
-	uw := uint32(w)
-	uc := uint32(C)
-	for i := range nw.bActive {
+// commit applies the batch's dependency deltas and effect lists,
+// serially in active order. Bucket effects index the peer's batch
+// template: newFlow when its output changed, lastFlow otherwise.
+func (nw *Network) commit(active []uint32) {
+	for i, slot := range active {
 		p := &nw.prep[i]
-		if len(p.ops) > 0 {
-			h := nw.pt.nodes[nw.bActive[i]].h()
-			for k := range p.ops {
-				op := &p.ops[k]
-				if op.dstSlot%uc != uw {
-					continue
-				}
-				nw.commitBucketOp(w, h, p.newFlow, op, sh)
+		nw.applyDeps(slot, p.deps)
+		if len(p.effects) == 0 {
+			continue
+		}
+		n := nw.pt.nodes[slot]
+		t := p.newFlow
+		if t == nil {
+			t = n.lastFlow
+		}
+		for _, e := range p.effects {
+			si, kind := e.span, e.kind
+			if kind == effShot {
+				si, kind = -1, effQuiet
 			}
+			nw.writeBucket(nw.pt.nodes[e.dst], n.h(), t, si, kind)
 		}
-		for _, d := range p.deps {
-			if depShardOf(d.id)%uc != uw {
-				continue
-			}
-			nw.commitDepDelta(w, d)
-		}
-	}
-}
-
-// commitBucketOp rewrites one standing bucket. The ownership audit
-// (under ParanoidSettle) re-derives the op's owner from the slot
-// partition and panics on a cross-shard write: the selection filter in
-// commitWorker and this check must agree by construction, so a firing
-// audit means the partitioning itself regressed.
-func (nw *Network) commitBucketOp(w int, sender handle, nf *flowTemplate, op *bucketOp, sh *commitShard) {
-	if nw.cfg.ParanoidSettle && int(op.dstSlot)%nw.commitW != w {
-		panic(fmt.Sprintf("rechord: cross-shard bucket write: slot %d belongs to commit worker %d, written by %d",
-			op.dstSlot, int(op.dstSlot)%nw.commitW, w))
-	}
-	dst := nw.pt.nodes[op.dstSlot]
-	sh.bucketMsgs += int(op.delta)
-	if op.span < 0 {
-		if bi := dst.findBucket(sender); bi >= 0 {
-			old := dst.in[bi]
-			dst.delBucketAt(bi)
-			releaseBucket(old, &sh.flow)
-		}
-	} else {
-		nw.installBucket(dst, sender, nf, op.span, &sh.flow)
-		if op.quiet {
-			// Content-identical repoint: storage moved to the new
-			// template generation, the recipient's state did not change.
-			return
-		}
-	}
-	if !dst.dirty {
-		dst.dirty = true
-		sh.frontier = append(sh.frontier, op.dstSlot)
-	}
-}
-
-// commitDepDelta applies one inverted-index adjustment, with the same
-// cross-shard audit as the bucket path.
-func (nw *Network) commitDepDelta(w int, d depDelta) {
-	if nw.cfg.ParanoidSettle && int(depShardOf(d.id))%nw.commitW != w {
-		panic(fmt.Sprintf("rechord: cross-shard dep write: id %s belongs to commit worker %d, written by %d",
-			d.id, int(depShardOf(d.id))%nw.commitW, w))
-	}
-	if d.k > 0 {
-		nw.deps.add(d.id, d.slot, uint32(d.k))
-	} else {
-		nw.deps.remove(d.id, d.slot, uint32(-d.k))
 	}
 }

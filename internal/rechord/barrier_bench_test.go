@@ -20,12 +20,13 @@ import (
 // convergence proofs).
 const barrierBenchRounds = 48
 
-// BenchmarkBarrierCommit pins the phase-3 split the sharded barrier
-// introduced: prepare (parallel publish + output/dependency diffing)
-// versus commit (the ownership-partitioned bucket/index rewrite),
-// under the hot frontier of the ideal-seeded transient. The serial
-// series runs Workers=1 (prepare, commit and the epilogue all on the
-// caller), the sharded series Workers=4; ns/op is the whole window,
+// BenchmarkBarrierCommit pins the phase-3 split of the barrier:
+// prepare (parallel publish + output/dependency diffing into effect
+// lists) versus commit (the serial bucket/index rewrite), under the hot
+// frontier of the ideal-seeded transient. The serial series runs
+// Workers=1, the sharded series Workers=4 of the parallel phases (the
+// names predate the serial commit and are kept so recorded results
+// stay comparable); ns/op is the whole window,
 // and the per-batch phase means come from the engine's own telemetry
 // so the split is visible in BENCH_rounds.json next to the wall-clock.
 func BenchmarkBarrierCommit(b *testing.B) {

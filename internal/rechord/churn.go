@@ -105,12 +105,7 @@ func (nw *Network) removePeer(id ident.ID) {
 	nw.pt.release(n)
 	nw.removeOrder(id)
 	// The buckets stored on the departed peer die with it.
-	for _, b := range n.in {
-		nw.bucketMsgs -= b.flow.spanLen(b.span)
-		nw.depRemoveSpan(n.idx, b.flow, b.span)
-		releaseBucket(b, &nw.flow)
-	}
-	n.in = nil
+	nw.dropInbound(n)
 	// Its standing flow to others becomes a final one-shot delivery.
 	// The moved messages leave the index with the bucket: the recipient
 	// is dirty from here on, and one-shot inboxes are not indexed.
@@ -120,24 +115,33 @@ func (nw *Network) removePeer(id ident.ID) {
 			if !ok {
 				continue
 			}
-			dst := nw.pt.nodes[dstSlot]
-			bi := dst.findBucket(h)
-			if bi < 0 {
-				continue
-			}
-			b := dst.in[bi]
-			dst.inbox = b.flow.appendSpan(dst.inbox, b.span)
-			nw.bucketMsgs -= b.flow.spanLen(b.span)
-			nw.depRemoveSpan(dstSlot, b.flow, b.span)
-			dst.delBucketAt(bi)
-			releaseBucket(b, &nw.flow)
-			nw.markDirtyIdx(dstSlot)
+			nw.flushBucket(nw.pt.nodes[dstSlot], h)
 		}
 		releaseFlow(n.lastFlow, &nw.flow)
 		n.lastFlow = nil
 	}
 	nw.flushFlowGauges()
 	nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
+}
+
+// dropInbound deletes every standing bucket stored at the departed
+// peer.
+func (nw *Network) dropInbound(n *RealNode) {
+	for len(n.in) > 0 {
+		nw.writeBucket(n, n.in[len(n.in)-1].sender, nil, -1, effQuiet)
+	}
+}
+
+// flushBucket turns the departed sender's standing bucket at dst, if
+// any, into a final one-shot delivery and wakes dst.
+func (nw *Network) flushBucket(dst *RealNode, sender handle) {
+	bi := dst.findBucket(sender)
+	if bi < 0 {
+		return
+	}
+	b := dst.in[bi]
+	dst.inbox = b.flow.appendSpan(dst.inbox, b.span)
+	nw.writeBucket(dst, sender, nil, -1, effSet)
 }
 
 // routeMessage enqueues a one-shot message directly (used by graceful

@@ -34,12 +34,12 @@ import (
 // the same (vacuous) case.
 //
 // Maintenance points:
-//   - edge sets: recomputed per peer at the barrier (refreshStateDeps),
-//     gated on the peer's content hash having changed, and at the
-//     out-of-band mutation points (AddPeer, SeedEdge, fixture rebuilds);
-//   - buckets: updated incrementally wherever buckets are written
-//     (rerouteSpan, installBucketQuiet, dropBucket, removePeer's flush,
-//     AddPeer's re-materialization).
+//   - edge sets: recomputed per peer in the barrier's prepare
+//     (prepStateDeps), gated on the peer's content hash having changed,
+//     applied by the commit, and at the out-of-band mutation points
+//     (AddPeer, SeedEdge, fixture rebuilds);
+//   - buckets: updated by writeBucket, the one function that writes
+//     them.
 
 // depEntry is one dependent peer slot with the number of references it
 // holds to the indexed identifier.
@@ -48,38 +48,12 @@ type depEntry struct {
 	cnt  uint32
 }
 
-// depShardCount fixes the number of internal index shards. It is a
-// property of the data structure, not of Config.Workers: the sharded
-// barrier commit (see barrier.go) partitions the shard space over
-// however many commit workers a batch runs, so the stored state is
-// identical for every worker count. 16 shards keep the partition
-// balanced for any plausible core count while the per-shard maps stay
-// dense.
-const depShardCount = 16
-
-// depShardOf maps a referenced identifier to its index shard. The
-// multiplicative mix spreads structured test identifiers as well as the
-// uniform random ones; the function is pure, so shard ownership is a
-// static property of the identifier.
-func depShardOf(id ident.ID) uint32 {
-	return uint32((uint64(id) * 0x9E3779B97F4A7C15) >> 60)
-}
-
-// depIndex maps identifiers to their dependents, split into
-// depShardCount independent shards keyed by depShardOf. Within a shard,
-// identifiers get dense keys through keyOf (recycled via a free list
-// when their last dependent disappears); each dependents list is kept
-// sorted by slot so updates are binary searches. Two mutations touching
-// different shards are independent — the property the barrier's
-// parallel commit relies on (each commit worker owns a disjoint set of
-// shards). Reference counts commute, so the stored state after a batch
-// of deltas is independent of application order within a shard too.
+// depIndex maps identifiers to their dependents. Identifiers get dense
+// keys through keyOf (recycled via a free list when their last
+// dependent disappears); each dependents list is kept sorted by slot so
+// updates are binary searches. Reference counts commute, so the stored
+// state after a batch of deltas is independent of application order.
 type depIndex struct {
-	shards [depShardCount]depShard
-}
-
-// depShard is one independent slice of the index.
-type depShard struct {
 	keyOf map[ident.ID]uint32
 	deps  [][]depEntry
 	free  []uint32
@@ -87,28 +61,24 @@ type depShard struct {
 
 // add records k more references from the peer slot to id.
 func (d *depIndex) add(id ident.ID, peer uint32, k uint32) {
-	d.shards[depShardOf(id)].add(id, peer, k)
-}
-
-func (s *depShard) add(id ident.ID, peer uint32, k uint32) {
 	if k == 0 {
 		return
 	}
-	if s.keyOf == nil {
-		s.keyOf = make(map[ident.ID]uint32)
+	if d.keyOf == nil {
+		d.keyOf = make(map[ident.ID]uint32)
 	}
-	key, ok := s.keyOf[id]
+	key, ok := d.keyOf[id]
 	if !ok {
-		if n := len(s.free); n > 0 {
-			key = s.free[n-1]
-			s.free = s.free[:n-1]
+		if n := len(d.free); n > 0 {
+			key = d.free[n-1]
+			d.free = d.free[:n-1]
 		} else {
-			key = uint32(len(s.deps))
-			s.deps = append(s.deps, nil)
+			key = uint32(len(d.deps))
+			d.deps = append(d.deps, nil)
 		}
-		s.keyOf[id] = key
+		d.keyOf[id] = key
 	}
-	l := s.deps[key]
+	l := d.deps[key]
 	i := sort.Search(len(l), func(i int) bool { return l[i].peer >= peer })
 	if i < len(l) && l[i].peer == peer {
 		l[i].cnt += k
@@ -117,25 +87,21 @@ func (s *depShard) add(id ident.ID, peer uint32, k uint32) {
 	l = append(l, depEntry{})
 	copy(l[i+1:], l[i:])
 	l[i] = depEntry{peer: peer, cnt: k}
-	s.deps[key] = l
+	d.deps[key] = l
 }
 
 // remove forgets k references from the peer slot to id, panicking on
 // underflow: an underflow means some maintenance point missed an update
 // and the index no longer mirrors the true state.
 func (d *depIndex) remove(id ident.ID, peer uint32, k uint32) {
-	d.shards[depShardOf(id)].remove(id, peer, k)
-}
-
-func (s *depShard) remove(id ident.ID, peer uint32, k uint32) {
 	if k == 0 {
 		return
 	}
-	key, ok := s.keyOf[id]
+	key, ok := d.keyOf[id]
 	var l []depEntry
 	var i int
 	if ok {
-		l = s.deps[key]
+		l = d.deps[key]
 		i = sort.Search(len(l), func(i int) bool { return l[i].peer >= peer })
 	}
 	if !ok || i >= len(l) || l[i].peer != peer || l[i].cnt < k {
@@ -144,10 +110,10 @@ func (s *depShard) remove(id ident.ID, peer uint32, k uint32) {
 	l[i].cnt -= k
 	if l[i].cnt == 0 {
 		l = append(l[:i], l[i+1:]...)
-		s.deps[key] = l
+		d.deps[key] = l
 		if len(l) == 0 {
-			delete(s.keyOf, id)
-			s.free = append(s.free, key)
+			delete(d.keyOf, id)
+			d.free = append(d.free, key)
 		}
 	}
 }
@@ -156,9 +122,8 @@ func (s *depShard) remove(id ident.ID, peer uint32, k uint32) {
 // returned slice aliases the index; callers must not hold it across
 // mutations.
 func (d *depIndex) dependents(id ident.ID) []depEntry {
-	s := &d.shards[depShardOf(id)]
-	if key, ok := s.keyOf[id]; ok {
-		return s.deps[key]
+	if key, ok := d.keyOf[id]; ok {
+		return d.deps[key]
 	}
 	return nil
 }
@@ -170,24 +135,10 @@ type ownerCount struct {
 	cnt   uint32
 }
 
-// depAddMsgs / depRemoveMsgs adjust the index for a standing bucket's
-// messages stored at the peer slot: each message carries exactly one
-// reference (the node being introduced).
-func (nw *Network) depAddMsgs(peer uint32, ms []Message) {
-	for _, m := range ms {
-		nw.deps.add(m.Add.Owner, peer, 1)
-	}
-}
-
-func (nw *Network) depRemoveMsgs(peer uint32, ms []Message) {
-	for _, m := range ms {
-		nw.deps.remove(m.Add.Owner, peer, 1)
-	}
-}
-
-// depAddSpan / depRemoveSpan are the packed-storage forms: adjust the
-// index for span si of the flow template, read straight off the
-// template's symbol table without reconstituting messages.
+// depAddSpan / depRemoveSpan adjust the index for a standing bucket
+// holding span si of the flow template at the peer slot: each message
+// carries exactly one reference (the node being introduced), read
+// straight off the template's symbol table.
 func (nw *Network) depAddSpan(peer uint32, t *flowTemplate, si int32) {
 	sp := t.spans[si]
 	for i := sp.start; i < sp.end; i++ {
@@ -200,68 +151,6 @@ func (nw *Network) depRemoveSpan(peer uint32, t *flowTemplate, si int32) {
 	for i := sp.start; i < sp.end; i++ {
 		nw.deps.remove(t.syms[t.packed[i].sym], peer, 1)
 	}
-}
-
-// refreshStateDeps recomputes the peer's edge-set dependency multiset
-// and applies the delta against the stored one to the inverted index.
-// Called at the barrier for peers whose content hash changed (the
-// serial-route schedulers; the synchronous engine's sharded barrier
-// computes the same delta in parallel via prepStateDeps, see
-// barrier.go) and at every out-of-band state mutation. Serial only (it
-// mutates index shards directly); the cost is linear in the peer's own
-// edge sets — the same work the old full scan spent on this one peer,
-// now spent only when the peer actually changed.
-func (nw *Network) refreshStateDeps(slot uint32, n *RealNode) {
-	buf := nw.depOwners[:0]
-	for _, v := range n.vnodes {
-		if v == nil {
-			continue
-		}
-		for _, r := range v.Nu.Slice() {
-			buf = append(buf, r.Owner)
-		}
-		for _, r := range v.Nr.Slice() {
-			buf = append(buf, r.Owner)
-		}
-		for _, r := range v.Nc.Slice() {
-			buf = append(buf, r.Owner)
-		}
-	}
-	ident.Sort(buf)
-	nw.depOwners = buf
-
-	nc := nw.depCounts[:0]
-	for i := 0; i < len(buf); {
-		j := i
-		for j < len(buf) && buf[j] == buf[i] {
-			j++
-		}
-		nc = append(nc, ownerCount{owner: buf[i], cnt: uint32(j - i)})
-		i = j
-	}
-	nw.depCounts = nc
-
-	old := nw.stateDeps[slot]
-	i, j := 0, 0
-	for i < len(old) || j < len(nc) {
-		switch {
-		case j == len(nc) || (i < len(old) && old[i].owner < nc[j].owner):
-			nw.deps.remove(old[i].owner, slot, old[i].cnt)
-			i++
-		case i == len(old) || nc[j].owner < old[i].owner:
-			nw.deps.add(nc[j].owner, slot, nc[j].cnt)
-			j++
-		default:
-			if nc[j].cnt > old[i].cnt {
-				nw.deps.add(nc[j].owner, slot, nc[j].cnt-old[i].cnt)
-			} else if nc[j].cnt < old[i].cnt {
-				nw.deps.remove(nc[j].owner, slot, old[i].cnt-nc[j].cnt)
-			}
-			i++
-			j++
-		}
-	}
-	nw.stateDeps[slot] = append(old[:0], nc...)
 }
 
 // stateDepAdd records one more edge-set reference from the peer slot
@@ -300,11 +189,14 @@ func (nw *Network) rebuildDeps() {
 	for slot := range nw.stateDeps {
 		nw.stateDeps[slot] = nw.stateDeps[slot][:0]
 	}
+	var p prepOut
 	for slot, n := range nw.pt.nodes {
 		if n == nil {
 			continue
 		}
-		nw.refreshStateDeps(uint32(slot), n)
+		p.deps = p.deps[:0]
+		nw.prepStateDeps(uint32(slot), n, &p)
+		nw.applyDeps(uint32(slot), p.deps)
 		for _, b := range n.in {
 			nw.depAddSpan(uint32(slot), b.flow, b.span)
 		}

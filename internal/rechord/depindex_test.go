@@ -99,11 +99,9 @@ func checkDepIndex(t *testing.T, nw *Network, when string) {
 			}
 		}
 	}
-	for si := range nw.deps.shards {
-		for id, key := range nw.deps.shards[si].keyOf {
-			if want[id] == nil {
-				t.Fatalf("%s: index holds %s (%d dependents) not present in the state", when, id, len(nw.deps.shards[si].deps[key]))
-			}
+	for id, key := range nw.deps.keyOf {
+		if want[id] == nil {
+			t.Fatalf("%s: index holds %s (%d dependents) not present in the state", when, id, len(nw.deps.deps[key]))
 		}
 	}
 }

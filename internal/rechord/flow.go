@@ -3,7 +3,6 @@ package rechord
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -63,11 +62,11 @@ type flowSpan struct {
 
 // flowTemplate is an immutable snapshot of one sender's per-round
 // output, grouped by recipient. refs counts the sender's lastFlow
-// reference plus one per recipient bucket; it is atomic because the
-// sharded commit releases old buckets from parallel workers.
+// reference plus one per recipient bucket; only the serial commit and
+// epilogue change it.
 type flowTemplate struct {
-	refs    atomic.Int32
-	private bool // deep-copy or snapshot-owned; never shared across peers
+	refs    int32
+	private bool // partition shadow or snapshot-owned; never shared across peers
 	packed  []packedMsg
 	spans   []flowSpan // sorted by owner
 	syms    []ident.ID // sorted, deduped Add owners
@@ -84,14 +83,15 @@ func (t *flowTemplate) footprint() int {
 
 // retain takes one reference and returns t for call-site convenience.
 func (t *flowTemplate) retain() *flowTemplate {
-	t.refs.Add(1)
+	t.refs++
 	return t
 }
 
 // release drops one reference and reports whether it was the last; the
 // caller owns the accounting, the garbage collector owns the bytes.
 func (t *flowTemplate) release() bool {
-	return t.refs.Add(-1) == 0
+	t.refs--
+	return t.refs == 0
 }
 
 // findSpan returns the index of owner's span, or -1.
@@ -250,14 +250,14 @@ func buildFlow(groups []rrGroup, ng, total int, symbuf []ident.ID) (*flowTemplat
 		}
 		t.spans = append(t.spans, flowSpan{owner: groups[g].owner, start: start, end: uint32(len(t.packed))})
 	}
-	t.refs.Store(1)
+	t.refs = 1
 	t.sum = t.checksum()
 	return t, symbuf
 }
 
 // buildPrivateFlow freezes one recipient's contribution into a
-// single-span private template (ref 1). Used for deep-copy installs,
-// partition shadow buckets, and snapshot clones — never shared.
+// single-span private template (ref 1). Used for partition shadow
+// buckets — never shared.
 func buildPrivateFlow(owner ident.ID, ms []Message) *flowTemplate {
 	symbuf := make([]ident.ID, 0, len(ms))
 	for _, m := range ms {
@@ -279,7 +279,7 @@ func buildPrivateFlow(owner ident.ID, ms []Message) *flowTemplate {
 	for _, m := range ms {
 		t.packed = append(t.packed, packMsg(m, syms))
 	}
-	t.refs.Store(1)
+	t.refs = 1
 	t.sum = t.checksum()
 	return t
 }
@@ -299,7 +299,7 @@ func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
 		spans:   []flowSpan{{owner: sp.owner, end: sp.end - sp.start}},
 		syms:    t.syms,
 	}
-	c.refs.Store(1)
+	c.refs = 1
 	c.sum = c.checksum()
 	return c
 }
@@ -309,9 +309,7 @@ func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
 // not compared: delivery is per-recipient (each bucket replays its own
 // span), so outputs that agree group-by-group produce identical
 // behavior, and the deterministic rules emit per-recipient sequences
-// in a fixed order anyway. This is the settle predicate for both the
-// shared and DeepCopyFlows engines, so the two stay in lockstep.
-// cursors is reusable per-span scratch.
+// in a fixed order anyway. cursors is reusable per-span scratch.
 func flowEqualsOutput(t *flowTemplate, out []Message, cursors *[]uint32) bool {
 	if t == nil {
 		return len(out) == 0
@@ -400,9 +398,7 @@ func (n *RealNode) delBucketAt(bi int) {
 	n.in = n.in[:len(n.in)-1]
 }
 
-// flowTally accumulates flow-storage accounting. The Network holds the
-// authoritative copy; each commitShard accumulates a local one during
-// the parallel commit, merged at the barrier.
+// flowTally accumulates flow-storage accounting.
 type flowTally struct {
 	births, deaths int // templates created / fully released
 	residentBytes  int // footprint delta of created minus released
@@ -410,16 +406,6 @@ type flowTally struct {
 	uniqueBytes    int // deep-equivalent bytes of buckets on private templates
 	installsShared int
 	installsCopied int
-}
-
-func (ft *flowTally) add(o *flowTally) {
-	ft.births += o.births
-	ft.deaths += o.deaths
-	ft.residentBytes += o.residentBytes
-	ft.sharedBytes += o.sharedBytes
-	ft.uniqueBytes += o.uniqueBytes
-	ft.installsShared += o.installsShared
-	ft.installsCopied += o.installsCopied
 }
 
 // tallyBirth records a freshly built template.
@@ -450,29 +436,47 @@ func releaseBucket(b bucket, ft *flowTally) {
 	releaseFlow(b.flow, ft)
 }
 
-// installBucket points dst's bucket for sender at span si of t. Under
-// DeepCopyFlows a shared template is copied into a private single-span
-// one instead — the storage fallback the lockstep suite compares
-// against. Handles refcounts and tally only; deps, bucketMsgs, and
-// dirty are the caller's.
-func (nw *Network) installBucket(dst *RealNode, sender handle, t *flowTemplate, si int32, ft *flowTally) {
-	use, usi := t, si
-	if nw.cfg.DeepCopyFlows && !t.private {
-		use = buildPrivateFlow(t.spans[si].owner, t.appendSpan(nil, si))
-		usi = 0
-		ft.tallyBirth(use)
+// writeBucket is the one place a standing bucket changes: it points
+// the sender's bucket at dst to span si of t, or deletes it when si < 0,
+// keeping refcounts, the flow tally, bucketMsgs and the dependency
+// index in step. effSet also puts dst on the frontier; effRepoint moves
+// a content-identical bucket to t, a storage-only change that leaves
+// the index and the message count alone. Deleting an absent bucket is a
+// no-op.
+func (nw *Network) writeBucket(dst *RealNode, sender handle, t *flowTemplate, si int32, kind effectKind) {
+	var old bucket
+	existed := false
+	if si < 0 {
+		bi := dst.findBucket(sender)
+		if bi < 0 {
+			return
+		}
+		old, existed = dst.in[bi], true
+		dst.delBucketAt(bi)
 	} else {
-		use.retain()
+		t.retain()
+		bytes := t.spanLen(si) * msgBytes
+		if t.private {
+			nw.flow.uniqueBytes += bytes
+			nw.flow.installsCopied++
+		} else {
+			nw.flow.sharedBytes += bytes
+			nw.flow.installsShared++
+		}
+		old, existed = dst.setBucket(sender, t, si)
+		if kind != effRepoint {
+			nw.bucketMsgs += t.spanLen(si)
+			nw.depAddSpan(dst.idx, t, si)
+		}
 	}
-	bytes := use.spanLen(usi) * msgBytes
-	if use.private {
-		ft.uniqueBytes += bytes
-		ft.installsCopied++
-	} else {
-		ft.sharedBytes += bytes
-		ft.installsShared++
+	if existed {
+		if kind != effRepoint {
+			nw.bucketMsgs -= old.flow.spanLen(old.span)
+			nw.depRemoveSpan(dst.idx, old.flow, old.span)
+		}
+		releaseBucket(old, &nw.flow)
 	}
-	if old, existed := dst.setBucket(sender, use, usi); existed {
-		releaseBucket(old, ft)
+	if kind == effSet {
+		nw.markDirtyIdx(dst.idx)
 	}
 }

@@ -13,13 +13,14 @@ import (
 // The shared-flow engine claims storage-only status: pointing standing
 // buckets at refcounted spans of the sender's flow template instead of
 // deep-copying []Message must not change a single observable bit.
-// These tests run the shared engine against the Config.DeepCopyFlows
-// fallback (same code paths, private per-bucket copies) in lockstep
-// under join/leave/fail/rejoin churn and compare the full global state
-// — snapshots, fingerprints, in-flight counts, and (for the
-// asynchronous scheduler) the event digest and RNG consumption — after
-// every single round, across the synchronous, full-sweep, and
-// asynchronous schedulers.
+// These tests run the shared engine against a deep-copy twin — the same
+// network with every standing bucket copied into private storage
+// between steps (CopyBuckets, a test-only hook) — in lockstep under
+// join/leave/fail/rejoin churn and compare the full global state —
+// snapshots, fingerprints, in-flight counts, and (for the asynchronous
+// scheduler) the event digest and RNG consumption — after every single
+// round, across the synchronous, full-sweep, and asynchronous
+// schedulers.
 
 // flowChurnEvents builds a deterministic churn script that exercises
 // join, graceful leave, crash failure, and a rejoin under a previously
@@ -52,14 +53,12 @@ func flowChurnEvents(seed int64) []lockstepEvent {
 // the first observable divergence.
 func runFlowLockstep(t *testing.T, name string, seed int64, n, rounds int, cfg rechord.Config, events []lockstepEvent) {
 	t.Helper()
-	build := func(deep bool) *rechord.Network {
-		c := cfg
-		c.DeepCopyFlows = deep
+	build := func() *rechord.Network {
 		rng := rand.New(rand.NewSource(seed))
 		ids := topogen.RandomIDs(n, rng)
-		return topogen.Random().Build(ids, rng, c)
+		return topogen.Random().Build(ids, rng, cfg)
 	}
-	shared, deep := build(false), build(true)
+	shared, deep := build(), build()
 
 	apply := func(nw *rechord.Network, ev lockstepEvent) error {
 		peers := nw.Peers()
@@ -88,6 +87,7 @@ func runFlowLockstep(t *testing.T, name string, seed int64, n, rounds int, cfg r
 				t.Fatalf("%s seed=%d round=%d: deep-copy event: %v", name, seed, r, err)
 			}
 		}
+		rechord.CopyBuckets(deep)
 		shared.Step()
 		deep.Step()
 		if sf, df := shared.StateFingerprint(nil), deep.StateFingerprint(nil); sf != df {
@@ -106,7 +106,7 @@ func runFlowLockstep(t *testing.T, name string, seed int64, n, rounds int, cfg r
 }
 
 // TestFlowSharedMatchesDeepCopySync: the synchronous activity-tracked
-// engine, serial and sharded-parallel, with the ParanoidSettle write
+// engine, serial and parallel, with the ParanoidSettle write
 // barrier armed on the shared side of one variant.
 func TestFlowSharedMatchesDeepCopySync(t *testing.T) {
 	for _, tc := range []struct {
@@ -141,16 +141,16 @@ func TestFlowSharedMatchesDeepCopyFullSweep(t *testing.T) {
 func TestFlowSharedMatchesDeepCopyAsync(t *testing.T) {
 	for _, seed := range []int64{5, 99} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			build := func(deep bool) (*rechord.Network, *rechord.AsyncRunner, *rand.Rand) {
+			build := func() (*rechord.Network, *rechord.AsyncRunner, *rand.Rand) {
 				rng := rand.New(rand.NewSource(seed))
 				ids := topogen.RandomIDs(10, rng)
-				nw := topogen.Random().Build(ids, rng, rechord.Config{Workers: 2, DeepCopyFlows: deep})
+				nw := topogen.Random().Build(ids, rng, rechord.Config{Workers: 2})
 				arng := rand.New(rand.NewSource(seed ^ 0xa57))
 				a := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.7, MaxDelay: 3}, arng)
 				return nw, a, arng
 			}
-			sharedNW, shared, sharedRNG := build(false)
-			deepNW, deep, deepRNG := build(true)
+			sharedNW, shared, sharedRNG := build()
+			deepNW, deep, deepRNG := build()
 			events := flowChurnEvents(seed)
 
 			apply := func(nw *rechord.Network, ev lockstepEvent) {
@@ -171,6 +171,7 @@ func TestFlowSharedMatchesDeepCopyAsync(t *testing.T) {
 						apply(deepNW, ev)
 					}
 				}
+				rechord.CopyBuckets(deepNW)
 				shared.Step()
 				deep.Step()
 				if sf, df := sharedNW.StateFingerprint(nil), deepNW.StateFingerprint(nil); sf != df {

@@ -78,67 +78,61 @@ func TestParanoidFlowWriteBarrier(t *testing.T) {
 // engine's incremental flow accounting must equal a from-scratch walk
 // over every live template and bucket.
 func TestFlowTallyMatchesRecount(t *testing.T) {
-	for _, deep := range []bool{false, true} {
-		nw, ids := stableFlowNet(t, 12, Config{Workers: 2, DeepCopyFlows: deep})
-		if err := nw.Fail(ids[3]); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Leave(ids[7]); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Join(ident.ID(0x1234567), ids[0]); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 4000 && !nw.Quiescent(); r++ {
-			nw.Step()
-		}
+	nw, ids := stableFlowNet(t, 12, Config{Workers: 2})
+	if err := nw.Fail(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Leave(ids[7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Join(ident.ID(0x1234567), ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4000 && !nw.Quiescent(); r++ {
+		nw.Step()
+	}
 
-		live := map[*flowTemplate]bool{}
-		shared, unique := 0, 0
-		for _, n := range nw.pt.nodes {
-			if n == nil {
-				continue
+	live := map[*flowTemplate]bool{}
+	shared, unique := 0, 0
+	for _, n := range nw.pt.nodes {
+		if n == nil {
+			continue
+		}
+		if n.lastFlow != nil {
+			live[n.lastFlow] = true
+		}
+		for _, b := range n.in {
+			live[b.flow] = true
+			if b.flow.private {
+				unique += b.flow.spanLen(b.span) * msgBytes
+			} else {
+				shared += b.flow.spanLen(b.span) * msgBytes
 			}
-			if n.lastFlow != nil {
-				live[n.lastFlow] = true
-			}
-			for _, b := range n.in {
-				live[b.flow] = true
-				if b.flow.private {
-					unique += b.flow.spanLen(b.span) * msgBytes
-				} else {
-					shared += b.flow.spanLen(b.span) * msgBytes
-				}
-			}
 		}
-		resident := 0
-		for tpl := range live {
-			resident += tpl.footprint()
-		}
-		if got := nw.flow.births - nw.flow.deaths; got != len(live) {
-			t.Errorf("deep=%v: live templates %d, tally %d", deep, len(live), got)
-		}
-		if nw.flow.residentBytes != resident {
-			t.Errorf("deep=%v: resident bytes %d, tally %d", deep, resident, nw.flow.residentBytes)
-		}
-		if nw.flow.sharedBytes != shared || nw.flow.uniqueBytes != unique {
-			t.Errorf("deep=%v: shared/unique bytes %d/%d, tally %d/%d",
-				deep, shared, unique, nw.flow.sharedBytes, nw.flow.uniqueBytes)
-		}
-		if deep {
-			if nw.flow.installsShared != 0 {
-				t.Errorf("deep-copy mode recorded %d shared installs", nw.flow.installsShared)
-			}
-		} else if nw.flow.installsShared == 0 {
-			t.Error("shared mode recorded no shared installs")
-		}
-		// The gauges mirror the tally after every batch and churn op.
-		if got := nw.met.FlowTemplates.Value(); got != int64(len(live)) {
-			t.Errorf("deep=%v: FlowTemplates gauge %d, live %d", deep, got, len(live))
-		}
-		if got := nw.met.FlowResidentBytes.Value(); got != int64(resident) {
-			t.Errorf("deep=%v: FlowResidentBytes gauge %d, recount %d", deep, got, resident)
-		}
+	}
+	resident := 0
+	for tpl := range live {
+		resident += tpl.footprint()
+	}
+	if got := nw.flow.births - nw.flow.deaths; got != len(live) {
+		t.Errorf("live templates %d, tally %d", len(live), got)
+	}
+	if nw.flow.residentBytes != resident {
+		t.Errorf("resident bytes %d, tally %d", resident, nw.flow.residentBytes)
+	}
+	if nw.flow.sharedBytes != shared || nw.flow.uniqueBytes != unique {
+		t.Errorf("shared/unique bytes %d/%d, tally %d/%d",
+			shared, unique, nw.flow.sharedBytes, nw.flow.uniqueBytes)
+	}
+	if nw.flow.installsShared == 0 {
+		t.Error("shared mode recorded no shared installs")
+	}
+	// The gauges mirror the tally after every batch and churn op.
+	if got := nw.met.FlowTemplates.Value(); got != int64(len(live)) {
+		t.Errorf("FlowTemplates gauge %d, live %d", got, len(live))
+	}
+	if got := nw.met.FlowResidentBytes.Value(); got != int64(resident) {
+		t.Errorf("FlowResidentBytes gauge %d, recount %d", got, resident)
 	}
 }
 

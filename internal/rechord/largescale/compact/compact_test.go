@@ -237,15 +237,14 @@ func TestN131072ConvergesToIdeal(t *testing.T) {
 	}
 }
 
-// TestN262144ConvergesToIdeal is the rung the sharded barrier opens:
+// TestN262144ConvergesToIdeal is the rung the parallel barrier opens:
 // one doubling past n=131072. The bound resource at this size is the
 // phase-3 publish — every active peer rewriting its standing
-// contributions into its recipients' buckets — which the barrier now
-// splits into a parallel prepare (per-peer diffing, no shared writes)
-// and an ownership-partitioned commit (recipients sharded by slot
-// across workers), so wall-clock scales down with cores while the
-// result stays bit-identical to Workers=1 (see
-// TestWorkersLockstepChurn). On a single core the rung is ~2.5-3h of
+// contributions into its recipients' buckets — which the barrier
+// splits into a parallel prepare (per-peer diffing into effect lists,
+// no shared writes) and a serial commit that only applies them, so
+// wall-clock scales down with cores while the result stays
+// bit-identical to Workers=1 (see TestWorkersLockstepChurn). On a single core the rung is ~2.5-3h of
 // settle work; the budget check keeps a plain `go test ./...` green.
 func TestN262144ConvergesToIdeal(t *testing.T) {
 	if testing.Short() {

@@ -34,13 +34,6 @@ type Config struct {
 	// keeps the exhaustive schedule available as the equivalence
 	// baseline and for debugging.
 	FullSweep bool
-	// DeepCopyFlows disables copy-on-write flow sharing: every standing
-	// bucket stores a private single-span copy of the sender's
-	// contribution instead of referencing the sender's immutable flow
-	// template. Purely a storage fallback — settle decisions, wakes, and
-	// delivery are identical — kept as the equivalence baseline the
-	// shared-flow lockstep suite compares against.
-	DeepCopyFlows bool
 	// ParanoidSettle cross-checks the incremental barrier machinery
 	// against its O(n) baselines on every batch: the hash-based settle
 	// decision against the old clone-and-compare, and the inverted
@@ -123,13 +116,6 @@ type Network struct {
 	deps      depIndex
 	stateDeps [][]ownerCount
 
-	// depOwners/depCounts are refreshStateDeps scratch (serial-route
-	// schedulers' barriers and out-of-band mutation points only; the
-	// synchronous engine diffs into per-index prep scratch instead, see
-	// barrier.go).
-	depOwners []ident.ID
-	depCounts []ownerCount
-
 	// frontier lists the slots of peers whose dirty flag is set.
 	// Entries may be stale (peer departed, slot re-collected); Step
 	// filters by liveness and the flag.
@@ -149,52 +135,38 @@ type Network struct {
 	// per-round message flow of the current schedule.
 	bucketMsgs int
 
-	// flow is the authoritative flow-storage accounting (live templates,
-	// resident bytes, shared vs unique bucket bytes, install tallies).
-	// Serial mutation points update it directly; the sharded commit
-	// accumulates per-worker tallies merged at the barrier. Flushed to
-	// the telemetry gauges by flushFlowGauges.
+	// flow is the flow-storage accounting (live templates, resident
+	// bytes, shared vs unique bucket bytes, install tallies), updated by
+	// the serial mutation points and flushed to the telemetry gauges by
+	// flushFlowGauges.
 	flow flowTally
-
-	// routeFlow exposes the running batch peer's freshly built flow
-	// template (prepOut.newFlow) to the serial route callbacks, which
-	// install recipient buckets from its spans. Set by the epilogue
-	// before each route call; nil when the peer's output did not change.
-	routeFlow *flowTemplate
 
 	pool    *workerPool
 	active  []uint32
 	results []nodeResult
 	pres    [][]*VNode
 
-	// prep holds the per-active-index scratch of the parallel prepare
-	// sub-phase and commit the per-worker commit outputs (see
-	// barrier.go); both reuse their buffers across batches and are
-	// dropped together with results/pres when the frontier contracts.
-	prep   []prepOut
-	commit []commitShard
+	// prep holds the per-active-index output of the parallel prepare
+	// sub-phase (see barrier.go), readable by the scheduler until
+	// finishBatch; it reuses its buffers across batches and is dropped
+	// together with results/pres when the frontier contracts.
+	prep []prepOut
 
 	// br is the persistent batch fan-out machinery (task closure,
 	// WaitGroup, work counter, per-phase bodies) reused across batches;
-	// bActive/bSettle/bSync/commitW are the running batch's parameters,
-	// read by br's persistent closures instead of being captured fresh
-	// every batch.
+	// bActive/bMode are the running batch's parameters, read by br's
+	// persistent closures instead of being captured fresh every batch,
+	// and bt its phase clock, closed by finishBatch.
 	br      batchRun
 	bActive []uint32
-	bSettle bool
-	bSync   bool
-	commitW int
+	bMode   batchMode
+	bt      batchTimes
 
 	// ownerChangedB/viewChangedB are the reusable per-barrier change
-	// sets feeding wakeDependents and onBarrier — cleared, never
-	// reallocated, after each batch.
+	// sets feeding wakeDependents — cleared, never reallocated, after
+	// each batch.
 	ownerChangedB map[ident.ID]bool
 	viewChangedB  map[ref.Ref]bool
-
-	// rrMsgs is rerouteWith's span-decode scratch (serial-route
-	// schedulers only): the reconstituted contribution handed to the
-	// onChange mirror callback, recycled across calls.
-	rrMsgs []Message
 
 	// met is the engine's always-on telemetry (shared with any
 	// AsyncRunner driving this network). The hot-path contract: a
@@ -203,14 +175,6 @@ type Network struct {
 	// counter at the barrier. Embedded by value so a zero-constructed
 	// Network is still safe to step.
 	met obs.EngineMetrics
-
-	// onBarrier, when set, observes the batch barrier's change sets
-	// right where wakeDependents consumes them: the owners whose level
-	// span moved and the virtual refs whose published view changed this
-	// batch. Partitioned schedulers hook it to forward view updates to
-	// the processes hosting the dependents (see partition.go); the maps
-	// are the barrier's own and must not be retained.
-	onBarrier func(owners map[ident.ID]bool, refs map[ref.Ref]bool)
 }
 
 // Obs returns the engine's telemetry counters. The returned metrics
@@ -285,9 +249,7 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 			if si < 0 {
 				continue
 			}
-			nw.bucketMsgs += s.lastFlow.spanLen(si)
-			nw.depAddSpan(slot, s.lastFlow, si)
-			nw.installBucket(n, s.h(), s.lastFlow, si, &nw.flow)
+			nw.writeBucket(n, s.h(), s.lastFlow, si, effQuiet)
 		}
 		nw.flushFlowGauges()
 		nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
@@ -702,9 +664,14 @@ func (nw *Network) Step() RoundStats {
 		return stats
 	}
 
-	if nw.runBatch(active, !nw.cfg.FullSweep, nil, &stats) {
+	mode := batchSync
+	if nw.cfg.FullSweep {
+		mode = batchSweep
+	}
+	if nw.runBatch(active, mode, &stats) {
 		nw.lastChange = nw.round
 	}
+	nw.finishBatch()
 	stats.MessagesSent = nw.bucketMsgs
 	return stats
 }
@@ -737,27 +704,40 @@ func (nw *Network) sortSlotsByID(slots []uint32) {
 	}
 }
 
+// batchMode selects the scheduler-specific parts of a batch.
+type batchMode uint8
+
+const (
+	// batchSync is the activity-tracked synchronous round (also the
+	// partition's): settled peers leave the frontier, changed outputs
+	// are rewritten into the recipients' buckets.
+	batchSync batchMode = iota
+	// batchSweep is Config.FullSweep: no settle decision, every
+	// executed peer is re-stamped and none leaves the frontier early.
+	batchSweep
+	// batchAsync is the asynchronous runner's batch: the three-way link
+	// rule of prepAsyncEffects replaces the synchronous rewrite.
+	batchAsync
+)
+
+// batchTimes is the running batch's phase clock: the boundaries
+// runBatch passed, closed by finishBatch.
+type batchTimes struct {
+	start, deliver, execute, prepare, commit, end time.Time
+}
+
 // runBatch executes one phased batch over the active (sorted) peers:
-// deliver and purge in parallel, run rules 1-6 in parallel, prepare the
-// publish/settle/reroute diffs in parallel, commit them through the
-// sharded barrier (see barrier.go), then settle unchanged peers and
-// wake dependents in the serial epilogue. It reports whether the global
-// state changed.
+// deliver and purge in parallel, run rules 1-6 in parallel, prepare
+// each peer's effect list in parallel, commit the lists serially, then
+// settle unchanged peers and wake dependents in the serial epilogue
+// (see barrier.go). It reports whether the global state changed.
 //
-// The route callback is the only point where the synchronous and
-// asynchronous schedulers differ. nil selects the synchronous engine:
-// changed outputs are committed into the recipients' standing buckets
-// by the sharded commit (the output is visible at every recipient next
-// round). A non-nil callback — the asynchronous scheduler's delay-model
-// routing, the partitioned scheduler's sink mirroring — runs serially
-// in the epilogue, in active order, for every executed peer with its
-// output and whether that output changed: RNG consumption and sink
-// emission order must not depend on the worker count. With settle=false
-// (the full sweep) no settle decision is made: every executed peer is
-// re-stamped and none leaves the frontier early.
-func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode, out []Message, outChanged, stateChanged bool), stats *RoundStats) bool {
+// The effect lists stay readable in nw.prep[:len(active)] until the
+// scheduler calls finishBatch: the asynchronous runner ships its
+// handoffs from them, the partition its remote bucket rewrites and
+// publishes. Bucket effects index the peers' lastFlow by then.
+func (nw *Network) runBatch(active []uint32, mode batchMode, stats *RoundStats) bool {
 	t0 := time.Now()
-	syncCommit := route == nil
 	if cap(nw.results) < len(active) {
 		nw.results = make([]nodeResult, len(active))
 		pres := make([][]*VNode, len(active))
@@ -769,9 +749,10 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 	}
 	results := nw.results[:len(active)]
 	changed := false
+	settle := mode != batchSweep
 
 	workers := nw.parallelism()
-	nw.bActive, nw.bSettle, nw.bSync = active, settle, syncCommit
+	nw.bActive, nw.bMode = active, mode
 	if nw.ownerChangedB == nil {
 		nw.ownerChangedB = make(map[ident.ID]bool)
 		nw.viewChangedB = make(map[ref.Ref]bool)
@@ -790,7 +771,7 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 	if br.phase1 == nil {
 		br.phase1 = func(i int) {
 			n := nw.pt.nodes[nw.bActive[i]]
-			if nw.bSettle && nw.cfg.ParanoidSettle {
+			if nw.bMode != batchSweep && nw.cfg.ParanoidSettle {
 				nw.pres[i] = n.cloneVNodes(nw.pres[i])
 			}
 			if len(n.inbox) > 0 {
@@ -829,48 +810,23 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 	tExecute := time.Now()
 
 	// Phase 3a (parallel): prepare — publish each peer's own view and
-	// level slot, take the settle and output-change verdicts, and (for
-	// the synchronous engine) turn the output and edge-set diffs into
-	// bucket ops and dep-index deltas in per-index scratch. See
-	// barrier.go for the ownership story.
+	// level slot, take the settle and output-change verdicts, and write
+	// the peer's dependency deltas and effect list into its own prep
+	// entry.
 	if br.prepare == nil {
 		br.prepare = func(i int) { nw.prepareIndex(i) }
 	}
 	nw.runParallel(workers, workers, len(active), br.prepare)
 	tPrepare := time.Now()
 
-	// Phase 3b (parallel, synchronous engine only): the sharded commit.
-	// Recipient slots and dep-index shards are partitioned across the
-	// commit workers, so every standing bucket, dirty flag and index
-	// shard has exactly one writer; per-worker frontier appends and
-	// bucketMsgs tallies merge serially right after. The commit span is
-	// the engine's reroute time.
-	var rerouteNS time.Duration
-	if syncCommit {
-		C := workers
-		nw.commitW = C
-		if len(nw.commit) < C {
-			commit := make([]commitShard, C)
-			copy(commit, nw.commit)
-			nw.commit = commit
-		}
-		if br.commit == nil {
-			br.commit = func(w int) { nw.commitWorker(w) }
-		}
-		nw.runParallel(C, workers, C, br.commit)
-		for w := 0; w < C; w++ {
-			sh := &nw.commit[w]
-			nw.bucketMsgs += sh.bucketMsgs
-			nw.frontier = append(nw.frontier, sh.frontier...)
-			nw.flow.add(&sh.flow)
-		}
-		rerouteNS = time.Since(tPrepare)
-	}
+	// Phase 3b (serial, active order): commit the effect lists.
+	nw.commit(active)
+	tCommit := time.Now()
 
 	// Phase 3c (serial epilogue, active order): everything that is
 	// ordered state — epoch stamps, settle bookkeeping, the change-set
-	// merge, the serial route callbacks — plus the paranoid verdicts
-	// deferred out of the pool goroutines.
+	// merge — plus the paranoid verdicts deferred out of the pool
+	// goroutines.
 	ownerChanged, viewChanged := nw.ownerChangedB, nw.viewChangedB
 	// Batch-local telemetry tallies: plain integers here, one atomic
 	// add per counter at the barrier flush below.
@@ -898,18 +854,6 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 		for _, r := range p.viewRefs {
 			viewChanged[r] = true
 		}
-		if !syncCommit {
-			if res.hchanged {
-				// The peer's edge sets changed: re-derive its dependency
-				// contribution and diff it into the inverted index.
-				nw.refreshStateDeps(slot, n)
-			}
-			nw.routeFlow = p.newFlow
-			rt := time.Now()
-			route(n, res.out, p.outChanged, p.stateChanged)
-			rerouteNS += time.Since(rt)
-			nw.routeFlow = nil
-		}
 		out := res.out
 		if p.outChanged {
 			changed = true
@@ -936,10 +880,10 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 		}
 		// lastFlow adopts the batch template (taking over the builder's
 		// reference); the old generation loses its sender reference and
-		// dies once the commit's quiet repoints have migrated every
-		// surviving bucket. The scratch output buffer is recycled for
-		// the peer's next run, right-sized when its capacity is a
-		// transient-peak leftover.
+		// dies once the commit's repoints have migrated every surviving
+		// bucket. The scratch output buffer is recycled for the peer's
+		// next run, right-sized when its capacity is a transient-peak
+		// leftover.
 		if p.outChanged {
 			if n.lastFlow != nil {
 				releaseFlow(n.lastFlow, &nw.flow)
@@ -968,26 +912,11 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 		fBefore := len(nw.frontier)
 		nw.wakeDependents(ownerChanged, viewChanged)
 		woken = len(nw.frontier) - fBefore
-		if nw.onBarrier != nil {
-			nw.onBarrier(ownerChanged, viewChanged)
-		}
 		clear(ownerChanged)
 		clear(viewChanged)
 	}
-	// Drop the batch arrays (and the vnode clones pinned by the settle
-	// buffers, and the message buffers pinned by the prep scratch) once
-	// the frontier has contracted well below their capacity: keeping
-	// them would retain a near-full copy of the network's peak-round
-	// state for the rest of the run.
-	if len(active)*4 < cap(nw.results) {
-		nw.results, nw.pres, nw.prep = nil, nil, nil
-	}
 
 	// Barrier flush: one atomic add per counter for the whole batch.
-	// The publish series is the serial epilogue minus the time spent
-	// inside the scheduler's route callback; it still includes the
-	// settle bookkeeping and the dependent wakes, which share the
-	// serial barrier with the change-set merge.
 	m := &nw.met
 	m.Batches.Inc()
 	m.Activated.Add(uint64(len(active)))
@@ -1002,13 +931,33 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 		}
 	}
 	nw.flushFlowGauges()
-	tEnd := time.Now()
-	m.PhaseDeliver.Observe(float64(tDeliver.Sub(t0)))
-	m.PhaseExecute.Observe(float64(tExecute.Sub(tDeliver)))
-	m.PhasePrepare.Observe(float64(tPrepare.Sub(tExecute)))
-	m.PhaseReroute.Observe(float64(rerouteNS))
-	m.PhasePublish.Observe(float64(tEnd.Sub(tPrepare) - rerouteNS))
+	nw.bt = batchTimes{start: t0, deliver: tDeliver, execute: tExecute, prepare: tPrepare, commit: tCommit, end: time.Now()}
 	return changed
+}
+
+// finishBatch closes the batch once its scheduler has consumed the
+// effect lists. The reroute phase is the effect application: the
+// commit plus the scheduler's consumption since runBatch returned; the
+// publish phase is the serial epilogue (settle bookkeeping, change-set
+// merge, dependent wakes).
+func (nw *Network) finishBatch() {
+	b := &nw.bt
+	consume := time.Since(b.end)
+	m := &nw.met
+	m.PhaseDeliver.Observe(float64(b.deliver.Sub(b.start)))
+	m.PhaseExecute.Observe(float64(b.execute.Sub(b.deliver)))
+	m.PhasePrepare.Observe(float64(b.prepare.Sub(b.execute)))
+	m.PhaseReroute.Observe(float64(b.commit.Sub(b.prepare) + consume))
+	m.PhasePublish.Observe(float64(b.end.Sub(b.commit)))
+	// Drop the batch arrays (and the vnode clones pinned by the settle
+	// buffers, and the message buffers pinned by the prep scratch) once
+	// the frontier has contracted well below their capacity: keeping
+	// them would retain a near-full copy of the network's peak-round
+	// state for the rest of the run.
+	if len(nw.bActive)*4 < cap(nw.results) {
+		nw.results, nw.pres, nw.prep = nil, nil, nil
+	}
+	nw.bActive = nil
 }
 
 // flushFlowGauges publishes the flow-storage accounting to the
@@ -1023,134 +972,6 @@ func (nw *Network) flushFlowGauges() {
 	m.FlowUniqueBytes.Set(int64(nw.flow.uniqueBytes))
 	m.FlowInstallsShared.Set(int64(nw.flow.installsShared))
 	m.FlowInstallsCopied.Set(int64(nw.flow.installsCopied))
-}
-
-// rerouteWith replaces sender n's standing contributions with the
-// spans of its new flow template t (the batch's routeFlow): per
-// recipient, the bucket is rewritten (and the recipient woken) only
-// when the contribution actually changed; content-identical buckets
-// are quietly repointed at the new generation. It is the serial-route
-// schedulers' form of what the synchronous engine does through
-// prepFlowOps + the sharded commit (see barrier.go). onChange fires
-// once per recipient whose standing bucket this call actually rewrote,
-// with the new contribution (nil for a deletion); partitioned
-// schedulers use it to mirror bucket rewrites to the recipient's
-// hosting process. The msgs slice aliases network scratch and must be
-// copied if kept.
-func (nw *Network) rerouteWith(n *RealNode, t *flowTemplate, onChange func(dst ident.ID, msgs []Message)) {
-	h := n.h()
-	// Previous recipients with no new contribution get their bucket
-	// deleted. Spans are unique per owner, so no deduplication is
-	// needed; processing order is free here, since bucket rewrites are
-	// per-recipient independent and the frontier is re-sorted at
-	// collection.
-	if old := n.lastFlow; old != nil {
-		for _, sp := range old.spans {
-			if t.findSpan(sp.owner) < 0 {
-				if nw.rerouteSpan(h, sp.owner, nil, -1) && onChange != nil {
-					onChange(sp.owner, nil)
-				}
-			}
-		}
-	}
-	for si := range t.spans {
-		if nw.rerouteSpan(h, t.spans[si].owner, t, int32(si)) && onChange != nil {
-			nw.rrMsgs = t.appendSpan(nw.rrMsgs[:0], int32(si))
-			onChange(t.spans[si].owner, nw.rrMsgs)
-		}
-	}
-}
-
-// rerouteSpan replaces one sender's standing contribution at one
-// recipient with span si of template t, waking the recipient only when
-// the contribution actually changed. si < 0 deletes the bucket; a
-// departed recipient is a no-op. A content-identical bucket on an
-// older template is quietly repointed so only one generation per
-// sender stays live. The return reports whether the bucket's content
-// actually changed.
-func (nw *Network) rerouteSpan(sender handle, dstID ident.ID, t *flowTemplate, si int32) bool {
-	slot, ok := nw.pt.lookup(dstID)
-	if !ok {
-		return false // destination departed
-	}
-	dst := nw.pt.nodes[slot]
-	bi := dst.findBucket(sender)
-	if si < 0 {
-		if bi < 0 {
-			return false
-		}
-		old := dst.in[bi]
-		nw.bucketMsgs -= old.flow.spanLen(old.span)
-		nw.depRemoveSpan(slot, old.flow, old.span)
-		dst.delBucketAt(bi)
-		releaseBucket(old, &nw.flow)
-		nw.markDirtyIdx(slot)
-		return true
-	}
-	if bi >= 0 {
-		old := dst.in[bi]
-		if spansEqual(old.flow, old.span, t, si) {
-			// Repoint only shared storage: a private bucket (deep-copy
-			// mode, partition stubs) pins no old template generation.
-			if old.flow != t && !old.flow.private {
-				nw.installBucket(dst, sender, t, si, &nw.flow)
-			}
-			return false
-		}
-		nw.bucketMsgs += t.spanLen(si) - old.flow.spanLen(old.span)
-		nw.depRemoveSpan(slot, old.flow, old.span)
-	} else {
-		nw.bucketMsgs += t.spanLen(si)
-	}
-	nw.depAddSpan(slot, t, si)
-	nw.installBucket(dst, sender, t, si, &nw.flow)
-	nw.markDirtyIdx(slot)
-	return true
-}
-
-// installBucketQuiet points the sender's standing bucket at span si of
-// t without waking the recipient: the asynchronous scheduler calls
-// this for run-stable contributions, whose content already reached the
-// recipient as one-shot messages when it last changed — the bucket is
-// just the repeating representation from then on. Content-identical
-// buckets on an older template are repointed (storage-only move).
-func (nw *Network) installBucketQuiet(dst *RealNode, sender handle, t *flowTemplate, si int32) {
-	if bi := dst.findBucket(sender); bi >= 0 {
-		old := dst.in[bi]
-		if spansEqual(old.flow, old.span, t, si) {
-			if old.flow != t && !old.flow.private {
-				nw.installBucket(dst, sender, t, si, &nw.flow)
-			}
-			return
-		}
-		nw.bucketMsgs += t.spanLen(si) - old.flow.spanLen(old.span)
-		nw.depRemoveSpan(dst.idx, old.flow, old.span)
-	} else {
-		nw.bucketMsgs += t.spanLen(si)
-	}
-	nw.depAddSpan(dst.idx, t, si)
-	nw.installBucket(dst, sender, t, si, &nw.flow)
-}
-
-// dropBucket revokes the sender's standing bucket at the recipient,
-// reporting whether one existed. The asynchronous scheduler revokes a
-// bucket whenever the sender's contribution changes: the new version
-// travels as one-shot messages instead, because replaying transient
-// versions out of standing buckets re-perturbs settled regions.
-func (nw *Network) dropBucket(dst *RealNode, alive bool, sender handle) bool {
-	if !alive || dst == nil {
-		return false
-	}
-	bi := dst.findBucket(sender)
-	if bi < 0 {
-		return false
-	}
-	b := dst.in[bi]
-	nw.bucketMsgs -= b.flow.spanLen(b.span)
-	nw.depRemoveSpan(dst.idx, b.flow, b.span)
-	dst.delBucketAt(bi)
-	releaseBucket(b, &nw.flow)
-	return true
 }
 
 // nodeResult carries one peer's delayed effects out of the parallel

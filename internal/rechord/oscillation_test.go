@@ -34,7 +34,7 @@ import (
 //     space for two thousand rounds before dying out.
 //
 // The wave is deterministic and engine-independent: the serial,
-// sharded, and deep-copy-flow engines all quiesce at exactly the same
+// parallel, and deep-copy-flow engines all quiesce at exactly the same
 // round (the lockstep suites pin this), and the round count is
 // identical before and after the shared-flow storage (DESIGN §2).
 // Only the round-capped harnesses ever mistook it for a persistent

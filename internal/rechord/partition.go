@@ -17,11 +17,11 @@ import (
 // peers it references (viewOf), and the static config — so a process
 // that keeps its stubs' published views and max levels up to date can
 // execute its hosted peers exactly as the monolith would. Second, the
-// route callback and the barrier's wakeDependents call are the only
-// points where one peer's execution touches another peer's inputs — so
-// mirroring standing-bucket rewrites (rerouteWith's onChange), one-shot
-// deliveries, and per-owner view publishes to the recipients' hosting
-// processes is sufficient for semantic equivalence. Churn-free runs
+// barrier's effect lists (see barrier.go) are the only points where one
+// peer's execution touches another peer's inputs — so shipping the
+// waking bucket effects, one-shot deliveries, and per-owner view
+// publishes to the recipients' hosting processes is sufficient for
+// semantic equivalence. Churn-free runs
 // are round-for-round identical to the monolith; runs with churn skew
 // by at most the op round and converge to the same unique stable
 // topology (the paper's self-stabilization theorem), which the wire
@@ -36,8 +36,8 @@ import (
 // local application.
 
 // BucketUpdate mirrors one sender's standing contribution at one
-// recipient: the partitioned form of rerouteSpan. Empty Msgs deletes
-// the bucket.
+// recipient: the wire form of a waking bucket effect. Empty Msgs
+// deletes the bucket.
 type BucketUpdate struct {
 	From, To ident.ID
 	Msgs     []Message
@@ -88,23 +88,15 @@ type Partition struct {
 	nw     *Network
 	hosted func(ident.ID) bool
 	sink   PartitionSink
-
-	// pub accumulates, during a batch, the hosted owners whose
-	// published state (view or max level) changed and must be
-	// broadcast after the batch.
-	pub map[ident.ID]bool
 }
 
 var _ Scheduler = (*Partition)(nil)
 
 // NewPartition wraps the network for partitioned execution. hosted
 // decides which peers this process runs; sink (may be nil for
-// single-process use) receives the cross-partition effects. The
-// network's barrier hook is claimed by the partition.
+// single-process use) receives the cross-partition effects.
 func NewPartition(nw *Network, hosted func(ident.ID) bool, sink PartitionSink) *Partition {
-	p := &Partition{nw: nw, hosted: hosted, sink: sink, pub: make(map[ident.ID]bool)}
-	nw.onBarrier = p.captureBarrier
-	return p
+	return &Partition{nw: nw, hosted: hosted, sink: sink}
 }
 
 // Network returns the underlying (replicated) network.
@@ -157,10 +149,10 @@ func (p *Partition) HostedPeers() int {
 }
 
 // Step runs one global round's hosted share: collect the frontier,
-// keep the hosted slots, and run the batch with the partition route.
-// Cross-partition effects stream into the sink during the call; the
-// caller exchanges them and applies the other processes' effects
-// (ApplyBucket/ApplyOneShot/ApplyPublish) before the next Step.
+// keep the hosted slots, run the batch, and ship its cross-partition
+// effects to the sink. The caller exchanges them and applies the other
+// processes' effects (ApplyBucket/ApplyOneShot/ApplyPublish) before the
+// next Step.
 func (p *Partition) Step() RoundStats {
 	nw := p.nw
 	nw.round++
@@ -182,75 +174,52 @@ func (p *Partition) Step() RoundStats {
 		stats.MessagesSent = nw.bucketMsgs
 		return stats
 	}
-	if nw.runBatch(hosted, true, p.route, &stats) {
+	if nw.runBatch(hosted, batchSync, &stats) {
 		nw.lastChange = nw.round
 	}
-	p.flushPublishes()
+	p.ship(hosted)
+	nw.finishBatch()
 	stats.MessagesSent = nw.bucketMsgs
 	return stats
 }
 
-// route is the partition's barrier routing: standing buckets are
-// rewritten locally exactly as the monolith does (stubs carry shadow
-// buckets, so the sender-side dedup state is complete), and every
-// rewrite whose recipient lives elsewhere is mirrored to the sink.
-func (p *Partition) route(n *RealNode, _ []Message, outChanged, _ bool) {
-	if !outChanged {
-		return
-	}
-	p.nw.rerouteWith(n, p.nw.routeFlow, func(dst ident.ID, msgs []Message) {
-		if p.sink == nil || p.hosted(dst) {
-			return
-		}
-		var cp []Message
-		if len(msgs) > 0 {
-			cp = append(cp, msgs...)
-		}
-		p.sink.SendBucket(BucketUpdate{From: n.id, To: dst, Msgs: cp})
-	})
-}
-
-// captureBarrier is the Network.onBarrier hook: it records which
-// hosted owners must re-broadcast their published state. Both an
-// owner-level change (max level moved) and any per-level view change
-// funnel into one full-state publish — receivers diff, so the wake
-// sets stay exact.
-func (p *Partition) captureBarrier(owners map[ident.ID]bool, refs map[ref.Ref]bool) {
-	for id := range owners {
-		if p.hosted(id) {
-			p.pub[id] = true
-		}
-	}
-	for r := range refs {
-		if p.hosted(r.Owner) {
-			p.pub[r.Owner] = true
-		}
-	}
-}
-
-// flushPublishes emits the batch's accumulated state publishes.
-func (p *Partition) flushPublishes() {
+// ship sends the batch's cross-partition effects to the sink: every
+// waking bucket effect whose recipient lives elsewhere (local stubs
+// carry shadow buckets, so the commit already rewrote them here), per
+// sender in effect-list order, then the publish of every peer whose
+// published state (view or max level) moved, in active order.
+// Receivers diff a publish against their replica, so one full-state
+// publish per changed peer keeps their wake sets exact.
+func (p *Partition) ship(active []uint32) {
 	if p.sink == nil {
-		clear(p.pub)
 		return
 	}
-	for id := range p.pub {
-		slot, ok := p.nw.pt.lookup(id)
-		if !ok {
-			continue // departed between batch and flush (same-round op cannot happen, but stay safe)
+	nw := p.nw
+	for i, slot := range active {
+		n := nw.pt.nodes[slot]
+		for _, e := range nw.prep[i].effects {
+			dst := nw.pt.ids[e.dst]
+			if e.kind != effSet || p.hosted(dst) {
+				continue
+			}
+			var msgs []Message
+			if e.span >= 0 {
+				msgs = n.lastFlow.appendSpan(nil, e.span)
+			}
+			p.sink.SendBucket(BucketUpdate{From: n.id, To: dst, Msgs: msgs})
 		}
-		src := p.nw.view[slot]
-		views := make([]PublishedView, len(src))
-		for i, e := range src {
-			views[i] = PublishedView{RL: e.rl, RR: e.rr, HasRL: e.hasRL, HasRR: e.hasRR}
-		}
-		p.sink.PublishState(PeerPublish{
-			Owner:    id,
-			MaxLevel: int(p.nw.pt.maxLv[slot]),
-			Views:    views,
-		})
 	}
-	clear(p.pub)
+	for i, slot := range active {
+		if pr := &nw.prep[i]; !pr.ownerChanged && len(pr.viewRefs) == 0 {
+			continue
+		}
+		src := nw.view[slot]
+		views := make([]PublishedView, len(src))
+		for k, e := range src {
+			views[k] = PublishedView{RL: e.rl, RR: e.rr, HasRL: e.hasRL, HasRR: e.hasRR}
+		}
+		p.sink.PublishState(PeerPublish{Owner: nw.pt.ids[slot], MaxLevel: int(nw.pt.maxLv[slot]), Views: views})
+	}
 }
 
 // ApplyBucket installs a remote sender's standing contribution. Safe
@@ -261,19 +230,25 @@ func (p *Partition) flushPublishes() {
 // generation to share.
 func (p *Partition) ApplyBucket(u BucketUpdate) {
 	nw := p.nw
-	slot, ok := nw.pt.lookup(u.From)
+	from, ok := nw.pt.lookup(u.From)
 	if !ok {
 		return // sender departed via an op this process already applied
 	}
-	h := nw.pt.nodes[slot].h()
-	if len(u.Msgs) == 0 {
-		nw.rerouteSpan(h, u.To, nil, -1)
+	to, ok := nw.pt.lookup(u.To)
+	if !ok {
 		return
 	}
-	t := buildPrivateFlow(u.To, u.Msgs)
-	nw.flow.tallyBirth(t)
-	nw.rerouteSpan(h, u.To, t, 0)
-	releaseFlow(t, &nw.flow)
+	var t *flowTemplate
+	si := int32(-1)
+	if len(u.Msgs) > 0 {
+		t, si = buildPrivateFlow(u.To, u.Msgs), 0
+		nw.flow.tallyBirth(t)
+		defer releaseFlow(t, &nw.flow)
+	}
+	dst, h := nw.pt.nodes[to], nw.pt.nodes[from].h()
+	if kind, ok := diffBucket(dst, h, t, si); ok {
+		nw.writeBucket(dst, h, t, si, kind)
+	}
 }
 
 // ApplyOneShot delivers messages to a hosted recipient's inbox.
@@ -421,33 +396,19 @@ func (p *Partition) removeStub(id ident.ID, op string) error {
 	nw.dropStateDeps(n.idx)
 	nw.pt.release(n)
 	nw.removeOrder(id)
-	for _, b := range n.in {
-		nw.bucketMsgs -= b.flow.spanLen(b.span)
-		nw.depRemoveSpan(n.idx, b.flow, b.span)
-		releaseBucket(b, &nw.flow)
-	}
-	n.in = nil
+	nw.dropInbound(n)
 	if n.lastFlow != nil {
 		releaseFlow(n.lastFlow, &nw.flow)
 		n.lastFlow = nil
 	}
-	for slot, dst := range nw.pt.nodes {
-		if dst == nil {
-			continue
+	for _, dst := range nw.pt.nodes {
+		switch {
+		case dst == nil:
+		case p.hosted(dst.id):
+			nw.flushBucket(dst, h)
+		default:
+			nw.writeBucket(dst, h, nil, -1, effQuiet)
 		}
-		bi := dst.findBucket(h)
-		if bi < 0 {
-			continue
-		}
-		b := dst.in[bi]
-		nw.bucketMsgs -= b.flow.spanLen(b.span)
-		nw.depRemoveSpan(uint32(slot), b.flow, b.span)
-		dst.delBucketAt(bi)
-		if p.hosted(dst.id) {
-			dst.inbox = b.flow.appendSpan(dst.inbox, b.span)
-			nw.markDirtyIdx(uint32(slot))
-		}
-		releaseBucket(b, &nw.flow)
 	}
 	nw.flushFlowGauges()
 	nw.wakeDependents(map[ident.ID]bool{id: true}, nil)

@@ -1,6 +1,7 @@
 package rechord_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,53 +102,65 @@ func (pn *partedNetwork) quiescent() bool {
 
 // TestPartitionLockstepMatchesMonolith: with no churn, partitioned
 // execution is round-for-round identical to the monolith — same
-// fingerprint after every round and quiescence on the same round.
-// ParanoidSettle keeps the settle decisions clone-checked throughout.
+// fingerprint after every round and quiescence on the same round — at
+// one worker and at four (the partition runs the same parallel prepare
+// as the monolith). ParanoidSettle keeps the settle decisions
+// clone-checked throughout.
 func TestPartitionLockstepMatchesMonolith(t *testing.T) {
 	for _, gen := range []topogen.Generator{
 		topogen.Random(), topogen.Line(), topogen.Garbage(), topogen.Star(),
 	} {
 		t.Run(gen.Name, func(t *testing.T) {
-			const (
-				n      = 20
-				nprocs = 3
-				seed   = 1701
-				maxR   = 4000
-			)
-			cfg := rechord.Config{Workers: 1, ParanoidSettle: true}
-			rng := rand.New(rand.NewSource(seed))
-			ids := topogen.RandomIDs(n, rng)
-			mono := gen.Build(ids, rng, cfg)
-			_, pn := buildParted(nprocs, n, seed, gen, cfg)
-
-			if got, want := pn.fingerprint(), mono.StateFingerprint(nil); got != want {
-				t.Fatalf("initial fingerprint mismatch: parted %016x, monolith %016x", got, want)
-			}
-			for r := 1; ; r++ {
-				if r > maxR {
-					t.Fatalf("no convergence in %d rounds", maxR)
-				}
-				mono.Step()
-				for _, p := range pn.parts {
-					p.Step()
-				}
-				exchanged := pn.exchange()
-				if got, want := pn.fingerprint(), mono.StateFingerprint(nil); got != want {
-					t.Fatalf("round %d: fingerprint mismatch: parted %016x, monolith %016x", r, got, want)
-				}
-				monoQ := mono.Quiescent()
-				partQ := pn.quiescent() && !exchanged
-				if monoQ != partQ {
-					t.Fatalf("round %d: monolith quiescent=%v but partitions quiescent=%v", r, monoQ, partQ)
-				}
-				if monoQ {
-					break
-				}
-			}
-			if err := rechord.ComputeIdeal(mono.Peers()).Matches(mono); err != nil {
-				t.Fatalf("monolith did not reach the ideal topology: %v", err)
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					partitionLockstep(t, gen, rechord.Config{Workers: workers, ParanoidSettle: true})
+				})
 			}
 		})
+	}
+}
+
+// partitionLockstep steps a monolith and its 3-way partitioned replica
+// set side by side until the monolith is quiescent, failing on the
+// first round whose fingerprints or quiescence verdicts differ.
+func partitionLockstep(t *testing.T, gen topogen.Generator, cfg rechord.Config) {
+	const (
+		n      = 20
+		nprocs = 3
+		seed   = 1701
+		maxR   = 4000
+	)
+	rng := rand.New(rand.NewSource(seed))
+	ids := topogen.RandomIDs(n, rng)
+	mono := gen.Build(ids, rng, cfg)
+	_, pn := buildParted(nprocs, n, seed, gen, cfg)
+
+	if got, want := pn.fingerprint(), mono.StateFingerprint(nil); got != want {
+		t.Fatalf("initial fingerprint mismatch: parted %016x, monolith %016x", got, want)
+	}
+	for r := 1; ; r++ {
+		if r > maxR {
+			t.Fatalf("no convergence in %d rounds", maxR)
+		}
+		mono.Step()
+		for _, p := range pn.parts {
+			p.Step()
+		}
+		exchanged := pn.exchange()
+		if got, want := pn.fingerprint(), mono.StateFingerprint(nil); got != want {
+			t.Fatalf("round %d: fingerprint mismatch: parted %016x, monolith %016x", r, got, want)
+		}
+		monoQ := mono.Quiescent()
+		partQ := pn.quiescent() && !exchanged
+		if monoQ != partQ {
+			t.Fatalf("round %d: monolith quiescent=%v but partitions quiescent=%v", r, monoQ, partQ)
+		}
+		if monoQ {
+			break
+		}
+	}
+	if err := rechord.ComputeIdeal(mono.Peers()).Matches(mono); err != nil {
+		t.Fatalf("monolith did not reach the ideal topology: %v", err)
 	}
 }
 

@@ -456,22 +456,6 @@ func sortedMessages(ms []Message) []Message {
 	return out
 }
 
-// sameMessages reports whether two message slices are element-wise
-// identical. The rules are deterministic, so an unchanged peer output
-// repeats in the same order; a false negative only costs a spurious
-// re-run, never correctness.
-func sameMessages(a, b []Message) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Message is a delayed assignment (the paper's "A <= B"): an edge
 // insertion that becomes visible at the target at the start of the
 // next round.

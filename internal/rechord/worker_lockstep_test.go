@@ -10,19 +10,18 @@ import (
 	"repro/internal/topogen"
 )
 
-// The sharded barrier (barrier.go) claims exact worker-count
-// independence: Workers=1 and Workers=N must produce identical global
-// state at every round boundary, under any churn, in every scheduler.
-// These tests run the two configurations in lockstep — with
-// ParanoidSettle on, so the clone cross-check, the wake-set
-// equivalence check and the commit's cross-shard write audits are all
-// armed — and compare snapshots and state fingerprints at phase-3
-// granularity (after every single Step), not just at quiescence.
+// The barrier (barrier.go) claims exact worker-count independence:
+// Workers=1 and Workers=N must produce identical global state at every
+// round boundary, under any churn, in every scheduler. These tests run
+// the two configurations in lockstep — with ParanoidSettle on, so the
+// clone cross-check and the wake-set equivalence check are armed — and
+// compare snapshots and state fingerprints at phase-3 granularity
+// (after every single Step), not just at quiescence.
 
 // wlEvent is one membership change applied to both worker
 // configurations at the same round. kind 3 is a REJOIN: a previously
 // departed identifier comes back, which exercises AddPeer's standing-
-// flow re-materialization against the sharded commit's index deltas.
+// flow re-materialization against the parallel prepare's diffs.
 type wlEvent struct {
 	round  int
 	kind   int // 0 join, 1 leave, 2 fail, 3 rejoin
@@ -115,7 +114,7 @@ func runWorkersLockstep(t *testing.T, seed int64, n int, gen topogen.Generator, 
 		return false
 	}
 	if mode == "async" && aSerial.EventFingerprint() != aSharded.EventFingerprint() {
-		t.Logf("seed=%d: async event fingerprint diverged: %x vs %x — the sharded barrier consumed RNG",
+		t.Logf("seed=%d: async event fingerprint diverged: %x vs %x — the parallel barrier consumed RNG",
 			seed, aSerial.EventFingerprint(), aSharded.EventFingerprint())
 		return false
 	}

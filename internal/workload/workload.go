@@ -258,6 +258,10 @@ type workerResult struct {
 	opsHash   uint64
 }
 
+// opStall, when set (by tests, before Run), runs inside every op's
+// timed section: the injection point for a slow operation.
+var opStall func(w, i int)
+
 type engine struct {
 	sched rechord.Scheduler
 	nw    *rechord.Network
@@ -429,13 +433,15 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 		if cfg.Duration > 0 && time.Now().After(e.deadline) {
 			return
 		}
+		var release time.Time
 		if interval > 0 {
 			// Open loop: release op i at its scheduled time, measuring
 			// the latency the op would impose on an arrival process
 			// rather than the worker's own completion pace. The pacing
 			// sleep stays interruptible so cancellation is not delayed
 			// by a slow target rate.
-			if !sleepCtx(ctx, time.Until(start.Add(time.Duration(i)*interval))) {
+			release = start.Add(time.Duration(i) * interval)
+			if !sleepCtx(ctx, time.Until(release)) {
 				return
 			}
 		}
@@ -451,8 +457,17 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 		if cfg.Obs != nil {
 			cfg.Obs.InFlight.Add(1)
 		}
+		// An open-loop op's clock starts at its scheduled release, not
+		// when the worker gets to it: ops queued behind a slow one carry
+		// the wait in their latency, as the arrivals they model would.
 		t0 := time.Now()
+		if interval > 0 {
+			t0 = release
+		}
 		e.netMu.RLock()
+		if opStall != nil {
+			opStall(w, i)
+		}
 		home := e.aliveHome(homes, hi)
 		var hops int
 		var opErr error

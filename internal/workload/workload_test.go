@@ -262,6 +262,35 @@ func TestOpenLoopPacing(t *testing.T) {
 	}
 }
 
+// TestOpenLoopStallDelaysQueuedOps: under an open loop, an op that
+// stalls holds up the ops scheduled behind it, and their recorded
+// latency must include that wait — each op is timed from its scheduled
+// release, not from when the worker got to it. One worker at 1000
+// ops/s releases an op every millisecond; op 5 stalls for 60 ms, so the
+// ops released during the stall are each late by tens of milliseconds.
+func TestOpenLoopStallDelaysQueuedOps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paced run sleeps on the wall clock")
+	}
+	nw, _ := stableNet(t, 16, 13)
+	const stall = 60 * time.Millisecond
+	opStall = func(w, i int) {
+		if i == 5 {
+			time.Sleep(stall)
+		}
+	}
+	defer func() { opStall = nil }()
+	res, err := Run(context.Background(), nw, Config{Workers: 1, Ops: 40, Keyspace: 64, Seed: 1, Rate: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ops 6..39 are released at 6..39 ms and start after the stall ends
+	// at >= 65 ms: every one of them waited at least 25 ms.
+	if p50 := time.Duration(res.Latency.Percentile(50)); p50 < 20*time.Millisecond {
+		t.Fatalf("median latency %v: ops queued behind a %v stall did not carry the wait", p50, stall)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	nw, _ := stableNet(t, 8, 17)
 	if _, err := Run(context.Background(), nw, Config{Workers: 4, Ops: 10, Keyspace: 2}); err == nil {
