@@ -73,13 +73,12 @@ type EngineMetrics struct {
 	// Per-phase barrier wall-clock, in nanoseconds per batch. Deliver
 	// is phase 1 (inbox/bucket application and reference purging),
 	// Execute is phase 2 (the parallel rule run), Prepare is phase 3a
-	// (the parallel view-publish and output/dependency diffing),
-	// Reroute is phase 3b — the sharded bucket/index commit under the
-	// synchronous engine, or the time spent inside a serial scheduler's
-	// route callback — and Publish is the serial epilogue (settle
-	// bookkeeping, change-set merge, dependent wakes). The ROADMAP's
-	// "serial publish/reroute phase" is now the prepare+reroute pair,
-	// parallel and measured.
+	// (the parallel view-publish and output/dependency diffing into
+	// effect lists), Reroute is the effect application — the serial
+	// bucket/index commit plus the scheduler's consumption of the
+	// effect lists (async handoff delays, partition shipping) — and
+	// Publish is the serial epilogue (settle bookkeeping, change-set
+	// merge, dependent wakes).
 	PhaseDeliver Hist
 	PhaseExecute Hist
 	PhasePrepare Hist

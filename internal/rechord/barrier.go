@@ -524,7 +524,7 @@ func (nw *Network) commit(active []uint32) {
 			continue
 		}
 		n := nw.pt.nodes[slot]
-		t := p.newFlow
+		h, t := n.h(), p.newFlow
 		if t == nil {
 			t = n.lastFlow
 		}
@@ -533,7 +533,7 @@ func (nw *Network) commit(active []uint32) {
 			if kind == effShot {
 				si, kind = -1, effQuiet
 			}
-			nw.writeBucket(nw.pt.nodes[e.dst], n.h(), t, si, kind)
+			nw.writeBucket(nw.pt.nodes[e.dst], h, t, si, kind)
 		}
 	}
 }

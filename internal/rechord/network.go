@@ -957,7 +957,6 @@ func (nw *Network) finishBatch() {
 	if len(nw.bActive)*4 < cap(nw.results) {
 		nw.results, nw.pres, nw.prep = nil, nil, nil
 	}
-	nw.bActive = nil
 }
 
 // flushFlowGauges publishes the flow-storage accounting to the

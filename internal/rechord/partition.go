@@ -21,11 +21,11 @@ import (
 // peer's execution touches another peer's inputs — so shipping the
 // waking bucket effects, one-shot deliveries, and per-owner view
 // publishes to the recipients' hosting processes is sufficient for
-// semantic equivalence. Churn-free runs
-// are round-for-round identical to the monolith; runs with churn skew
-// by at most the op round and converge to the same unique stable
-// topology (the paper's self-stabilization theorem), which the wire
-// equivalence gate checks via StateFingerprint.
+// semantic equivalence. Churn-free runs are round-for-round identical
+// to the monolith; runs with churn skew by at most the op round and
+// converge to the same unique stable topology (the paper's
+// self-stabilization theorem), which the wire equivalence gate checks
+// via StateFingerprint.
 //
 // Each round, every process: applies the round's membership ops, steps
 // its hosted frontier, hands the resulting cross-partition effects to
