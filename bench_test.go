@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/chord"
 	"repro/internal/churn"
+	"repro/internal/dht"
 	"repro/internal/ident"
 	"repro/internal/rechord"
 	"repro/internal/routing"
@@ -295,7 +296,8 @@ func BenchmarkWorkload(b *testing.B) {
 			var p50, p99, hops, tput float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := workload.Run(context.Background(), nw, workload.Config{
+				router := routing.NewFailover(nw, true)
+				res, err := workload.Run(context.Background(), nw, dht.NewWithResolver(nw, router), router, workload.Config{
 					Workers:      8,
 					Ops:          opsPerRun,
 					Keyspace:     2048,

@@ -48,14 +48,15 @@ type Cluster struct {
 	nw    *rechord.Network
 	sched rechord.Scheduler // the execution model: nw itself, or an async runner
 	store *dht.Store
-	cache *routing.Cache // nil when the router cache is disabled
-	rng   *rand.Rand     // guarded by mu (write side)
-	homes []ident.ID     // current membership, sorted; guarded by mu
+	// router is the serving path's one router: the store resolves
+	// through it, and every RunWorkload reuses it with the store.
+	router *routing.Failover
+	rng    *rand.Rand // guarded by mu (write side)
+	homes  []ident.ID // current membership, sorted; guarded by mu
 
-	homeCtr   atomic.Uint64
-	fallbacks atomic.Int64
-	closed    atomic.Bool
-	bus       eventBus
+	homeCtr atomic.Uint64
+	closed  atomic.Bool
+	bus     eventBus
 
 	// met is the cluster's long-lived serving-path metrics set, shared
 	// by the facade KV methods and every RunWorkload call so Metrics()
@@ -65,23 +66,6 @@ type Cluster struct {
 	// wire is the optional caller-owned wire-layer counter set
 	// (WithWireMetrics); nil when the process has no wire transport.
 	wire *obs.WireMetrics
-}
-
-// failoverResolver routes through the epoch-cached table router and
-// falls back to the state-walk router when a table is incomplete or
-// stale mid-churn.
-type failoverResolver struct {
-	cache     *routing.Cache
-	walk      routing.Walker
-	fallbacks *atomic.Int64
-}
-
-func (r failoverResolver) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	if owner, hops, err := r.cache.Resolve(from, key); err == nil {
-		return owner, hops, nil
-	}
-	r.fallbacks.Add(1)
-	return r.walk.Resolve(from, key)
 }
 
 // New builds a cluster from the options. The default is 32 peers,
@@ -132,14 +116,8 @@ func New(opts ...Option) (*Cluster, error) {
 			Delay:          cfg.asyncDelay,
 		}, rand.New(rand.NewSource(cfg.seed^0x55AA55AA)))
 	}
-	var resolver dht.Resolver
-	if cfg.routerCache {
-		c.cache = routing.NewCache(nw)
-		resolver = failoverResolver{cache: c.cache, walk: routing.Walker{NW: nw}, fallbacks: &c.fallbacks}
-	} else {
-		resolver = routing.Walker{NW: nw}
-	}
-	c.store = dht.NewWithResolver(nw, resolver)
+	c.router = routing.NewFailover(nw, cfg.routerCache)
+	c.store = dht.NewWithResolver(nw, c.router)
 	return c, nil
 }
 
@@ -243,20 +221,11 @@ func (c *Cluster) depart(ctx context.Context, p PeerID, kind string) error {
 	if len(c.homes) <= 1 {
 		return fmt.Errorf("%w: cannot remove the last peer %s", ErrConfig, p)
 	}
-	var err error
-	ev := Event{Peer: p}
-	switch kind {
-	case "leave":
-		err, ev.Kind = c.nw.Leave(p.id()), EventPeerLeft
-	default:
-		err, ev.Kind = c.nw.Fail(p.id()), EventPeerFailed
-	}
-	if err != nil {
+	if err := (churn.Event{Kind: kind, ID: p.id()}).Apply(c.nw); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrUnknownPeer, kind, err)
 	}
 	c.refreshHomes()
-	ev.Round = c.clock()
-	c.bus.publish(ev)
+	c.bus.publish(Event{Kind: peerEventKinds[kind], Peer: p, Round: c.clock()})
 	return nil
 }
 
@@ -346,11 +315,8 @@ func (c *Cluster) Stabilize(ctx context.Context, opts ...StabilizeOption) (Stabi
 	if !res.Stable {
 		return rep, fmt.Errorf("%w: %d peers still repairing after %d steps", ErrUnstable, c.nw.NumPeers(), res.Rounds)
 	}
-	if _, err := c.store.Rebalance(); err != nil {
-		return rep, fmt.Errorf("%w: rebalance: %v", ErrUnknownPeer, err)
-	}
-	if c.cache != nil {
-		c.cache.Prune()
+	if err := c.resettle(); err != nil {
+		return rep, err
 	}
 	c.bus.publish(Event{Kind: EventRegionSettled, Rounds: rep.Rounds, Peers: c.nw.NumPeers(), Round: c.clock()})
 	return rep, nil
@@ -535,8 +501,6 @@ func (c *Cluster) DOT() string {
 // table-route failures fell back to the state walk (all zero when the
 // cache is disabled).
 func (c *Cluster) CacheStats() (hits, misses uint64, fallbacks int64) {
-	if c.cache != nil {
-		hits, misses = c.cache.Stats()
-	}
-	return hits, misses, c.fallbacks.Load()
+	hits, misses = c.router.Cache().Stats()
+	return hits, misses, c.router.Fallbacks()
 }

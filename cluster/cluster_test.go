@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,10 +36,7 @@ func TestLockstepFacadeVsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fallbacks atomic.Int64
-	cache := routing.NewCache(nw)
-	resolver := failoverResolver{cache: cache, walk: routing.Walker{NW: nw}, fallbacks: &fallbacks}
-	store := dht.NewWithResolver(nw, resolver)
+	store := dht.NewWithResolver(nw, routing.NewFailover(nw, true))
 	homes := nw.Peers()
 	ctr := 0
 	nextHome := func() ident.ID { h := homes[ctr%len(homes)]; ctr++; return h }
@@ -143,6 +139,53 @@ func TestWorkloadLockstep(t *testing.T) {
 	}
 	if r1.CacheHits == 0 {
 		t.Error("router cache saw no hits on a quiescent network")
+	}
+}
+
+// TestRunWorkloadSharesFacadeStore: RunWorkload serves through the
+// facade's own store and router. The run's preloaded pairs are visible
+// to the facade afterwards, the facade's pair counts in the run's
+// store size, and the run's fallbacks are the facade's fallbacks.
+func TestRunWorkloadSharesFacadeStore(t *testing.T) {
+	ctx := context.Background()
+	c, err := New(WithSize(16), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put(ctx, "facade-key", "facade-value"); err != nil {
+		t.Fatal(err)
+	}
+	readOnly := WorkloadConfig{Workers: 2, Ops: 200, Keyspace: 64, Preload: 64, Seed: 3, GetFrac: 1}
+	rep, err := c.RunWorkload(ctx, readOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Get(ctx, "key-000001"); err != nil || v != "seed#1" {
+		t.Fatalf("facade Get of a preloaded key = %q, %v; want %q", v, err, "seed#1")
+	}
+	if rep.StoreLen != 65 || c.Keys() != rep.StoreLen {
+		t.Fatalf("run reports %d stored pairs, facade holds %d; want 64 preloaded + 1 facade pair in one store", rep.StoreLen, c.Keys())
+	}
+
+	// A crash left unrepaired makes table routes fail over to the walk
+	// deterministically (one worker, no churn driver, no preload: the
+	// walk itself may strand on the departed peer).
+	if err := c.Fail(ctx, c.Peers()[5]); err != nil {
+		t.Fatal(err)
+	}
+	fb0 := c.Metrics().Routing.Fallbacks
+	readOnly.Workers, readOnly.Preload = 1, 0
+	rep, err = c.RunWorkload(ctx, readOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fallbacks == 0 {
+		t.Fatal("no fallbacks on an unrepaired network; the check exercised nothing")
+	}
+	t.Logf("%d fallbacks, %d errors in %d ops on the unrepaired network", rep.Fallbacks, rep.Errors, rep.Ops)
+	if d := c.Metrics().Routing.Fallbacks - fb0; d != int64(rep.Fallbacks) {
+		t.Fatalf("facade fallbacks moved by %d, the run reports %d", d, rep.Fallbacks)
 	}
 }
 

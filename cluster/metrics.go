@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dht"
 	"repro/internal/obs"
-	"repro/internal/routing"
 )
 
 // Facade op indices into the workload metrics' per-op slots; the order
@@ -42,12 +41,11 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 		Workload:      c.met.Snapshot(),
 		EventsDropped: c.bus.dropped.Load(),
 	}
-	if c.cache != nil {
-		s.Routing.CacheHits, s.Routing.CacheMisses = c.cache.Stats()
-		s.Routing.CacheInvalidations = c.cache.Invalidations()
-		s.Routing.CacheEntries = c.cache.Len()
-	}
-	s.Routing.Fallbacks = c.fallbacks.Load()
+	cache := c.router.Cache() // nil-safe: all-zero without WithRouterCache
+	s.Routing.CacheHits, s.Routing.CacheMisses = cache.Stats()
+	s.Routing.CacheInvalidations = cache.Invalidations()
+	s.Routing.CacheEntries = cache.Len()
+	s.Routing.Fallbacks = c.router.Fallbacks()
 	s.Routing.LookupHops = obs.SummarizeHist(c.met.Hops.Merged())
 	s.Wire = c.wire.Snapshot() // nil-safe: all-zero without WithWireMetrics
 	return s
@@ -56,7 +54,8 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 // TraceLookup routes the key from a round-robin home peer to its owner
 // like Lookup, but returns the full per-lookup trace: the hop-by-hop
 // path, per-table cache attribution, whether the table route failed
-// over to the state walk, and — under WithAsync — the simulated
+// over to the state walk (counted in Metrics().Routing.Fallbacks like
+// any serving-path fallback), and — under WithAsync — the simulated
 // per-hop delivery delays the configured delay model assigns to the
 // path's links (drawn from a key-seeded stream, so the same lookup
 // traces the same delays).
@@ -69,24 +68,9 @@ func (c *Cluster) TraceLookup(ctx context.Context, key string) (*LookupTrace, er
 	from := c.home()
 	kid := dht.KeyID(key)
 	tr := &LookupTrace{}
-	var err error
-	if c.cache != nil {
-		_, _, err = c.cache.RouteTraced(from, kid, tr)
-		if err != nil {
-			// Mirror the serving path's failover: the state walk
-			// tolerates the mid-stabilization state the table route
-			// tripped over. The cache attribution of the failed
-			// attempt is kept; the path is the walk's.
-			tr.Failover = true
-			_, _, err = routing.Walker{NW: c.nw}.ResolveTraced(from, kid, tr)
-		}
-	} else {
-		_, _, err = routing.Walker{NW: c.nw}.ResolveTraced(from, kid, tr)
-	}
-	if err != nil {
+	if _, _, err := c.router.ResolveTraced(from, kid, tr); err != nil {
 		return tr, opError("trace", key, err)
 	}
-	tr.Err = ""
 	if c.cfg.async && len(tr.Path) > 1 {
 		delay := c.cfg.asyncDelay
 		if delay == nil {

@@ -87,7 +87,8 @@ func WithTopology(name string) Option { return func(c *config) { c.topology = na
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // WithRouterCache enables or disables the epoch-cached table router on
-// the KV path (default enabled). Disabled, every operation routes
+// the serving path — KV methods, TraceLookup and RunWorkload (default
+// enabled). Disabled, every operation routes
 // through the state-walk router — the baseline the cache is measured
 // against.
 func WithRouterCache(on bool) Option { return func(c *config) { c.routerCache = on } }

@@ -11,35 +11,36 @@ import (
 	"repro/internal/workload"
 )
 
-// eventKindFor maps a churn event kind to its stream event kind.
-func eventKindFor(kind string) EventKind {
-	switch kind {
-	case "join":
-		return EventPeerJoined
-	case "leave":
-		return EventPeerLeft
-	default:
-		return EventPeerFailed
+// peerEventKinds maps a churn event kind to its stream event kind.
+var peerEventKinds = map[string]EventKind{
+	"join":  EventPeerJoined,
+	"leave": EventPeerLeft,
+	"fail":  EventPeerFailed,
+}
+
+// resettle is the post-repair step of the serving path: rebalance the
+// store onto current ownership and prune the router's stale tables.
+// Callers hold the write lock.
+func (c *Cluster) resettle() error {
+	_, err := c.store.Rebalance()
+	c.router.Prune()
+	if err != nil {
+		return fmt.Errorf("%w: rebalance: %v", ErrUnknownPeer, err)
 	}
+	return nil
 }
 
 // restoreInvariants re-establishes the facade guarantees after
 // anything churned the membership: refresh the home list, finish any
-// interrupted repair, rebalance the store onto current ownership,
-// prune the router cache, and publish an epoch event when any peer
-// state changed since epoch0. Callers hold the write lock.
+// interrupted repair, resettle the serving path, and publish an epoch
+// event when any peer state changed since epoch0. Callers hold the
+// write lock.
 func (c *Cluster) restoreInvariants(epoch0 int) error {
 	c.refreshHomes()
 	if !c.sched.Quiescent() {
 		sim.Run(context.Background(), c.sched, sim.Options{})
 	}
-	var err error
-	if _, rerr := c.store.Rebalance(); rerr != nil {
-		err = fmt.Errorf("%w: rebalance: %v", ErrUnknownPeer, rerr)
-	}
-	if c.cache != nil {
-		c.cache.Prune()
-	}
+	err := c.resettle()
 	if epoch := c.nw.EpochClock(); epoch != epoch0 {
 		c.bus.publish(Event{Kind: EventEpochBumped, Epoch: epoch, Round: c.clock()})
 	}
@@ -113,9 +114,11 @@ type WorkloadReport struct {
 	CacheHits, CacheMisses uint64 // router cache counters for the run
 	ChurnApplied           int    // membership events actually applied
 
-	// OpsFingerprint hashes the op streams, StoreFingerprint the final
-	// store contents of the run; same seed + config reproduce both
-	// (the store fingerprint additionally requires a churn-free run).
+	// OpsFingerprint hashes the op streams, StoreFingerprint and
+	// StoreLen describe the cluster's store after the run (pairs stored
+	// before it included); same seed + config reproduce both (the store
+	// fingerprint additionally requires the same starting contents and
+	// a churn-free run).
 	OpsFingerprint   uint64
 	StoreFingerprint uint64
 	StoreLen         int
@@ -129,7 +132,9 @@ func (r *WorkloadReport) Summary() string { return r.summary }
 // RunWorkload drives the concurrent traffic engine against the
 // cluster: a pool of client workers firing Get/Put/Delete at the
 // overlay, optionally racing membership churn, returning the merged
-// telemetry. The call holds the cluster's write side for the whole run
+// telemetry. The run serves through the cluster's own store and
+// router, so its preloaded and written pairs stay visible to Get and
+// Keys afterwards and its fallbacks count in Metrics. The call holds the cluster's write side for the whole run
 // (facade KV methods block until it returns); the fine-grained
 // interleaving of lookups with re-stabilization happens inside the
 // engine. Cancellation stops workers and the churn driver end to end
@@ -166,8 +171,6 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 		Preload:       cfg.Preload,
 		Seed:          cfg.Seed,
 		Rate:          cfg.Rate,
-		NoCache:       !c.cfg.routerCache,
-		Cache:         c.cache,
 		Obs:           c.met,
 		Churn: workload.ChurnConfig{
 			Events:    cfg.ChurnEvents,
@@ -177,7 +180,7 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 			// the churn-driver goroutine, which may not read the round
 			// counter while workers are mid-operation.
 			OnApply: func(ev churn.Event) {
-				c.bus.publish(Event{Kind: eventKindFor(ev.Kind), Peer: PeerID(ev.ID)})
+				c.bus.publish(Event{Kind: peerEventKinds[ev.Kind], Peer: PeerID(ev.ID)})
 			},
 			OnSettle: func(rounds int) {
 				c.bus.publish(Event{Kind: EventRegionSettled, Rounds: rounds, Peers: c.nw.NumPeers()})
@@ -185,7 +188,7 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 		},
 	}
 
-	res, runErr := workload.Run(ctx, c.sched, wcfg)
+	res, runErr := workload.Run(ctx, c.sched, c.store, c.router, wcfg)
 	if res == nil {
 		switch {
 		case runErr == nil:
@@ -272,21 +275,12 @@ func (c *Cluster) ChurnRandom(ctx context.Context, events int) (recs []Recovery,
 
 	var out []Recovery
 	for _, ev := range churn.RandomEvents(c.nw, events, c.rng) {
-		var aerr error
-		switch ev.Kind {
-		case "join":
-			aerr = c.nw.Join(ev.ID, ev.Contact)
-		case "leave":
-			aerr = c.nw.Leave(ev.ID)
-		default:
-			aerr = c.nw.Fail(ev.ID)
-		}
-		if aerr != nil {
+		if aerr := ev.Apply(c.nw); aerr != nil {
 			return out, fmt.Errorf("%w: %s: %v", ErrUnknownPeer, ev.Kind, aerr)
 		}
 		// Published as soon as the membership change is visible, before
 		// the repair — the stream's contract.
-		c.bus.publish(Event{Kind: eventKindFor(ev.Kind), Peer: PeerID(ev.ID), Round: c.clock()})
+		c.bus.publish(Event{Kind: peerEventKinds[ev.Kind], Peer: PeerID(ev.ID), Round: c.clock()})
 
 		res := sim.Run(ctx, c.sched, sim.Options{})
 		if res.Canceled {

@@ -25,6 +25,21 @@ type Event struct {
 	Contact ident.ID
 }
 
+// Apply makes the membership change on the network without repairing
+// it: the affected peers are woken, and the caller steps the scheduler
+// back to the fixed point.
+func (ev Event) Apply(nw *rechord.Network) error {
+	switch ev.Kind {
+	case "join":
+		return nw.Join(ev.ID, ev.Contact)
+	case "leave":
+		return nw.Leave(ev.ID)
+	case "fail":
+		return nw.Fail(ev.ID)
+	}
+	return fmt.Errorf("churn: unknown event kind %q", ev.Kind)
+}
+
 // Recovery reports how a single event was absorbed.
 type Recovery struct {
 	Event  Event
@@ -57,22 +72,8 @@ func StableNetwork(ctx context.Context, n int, rng *rand.Rand, cfg rechord.Confi
 // repairs under the asynchronous adversary (Rounds then counts
 // asynchronous steps).
 func Apply(ctx context.Context, s rechord.Scheduler, ev Event, maxRounds int) (Recovery, error) {
-	nw := s.Network()
-	switch ev.Kind {
-	case "join":
-		if err := nw.Join(ev.ID, ev.Contact); err != nil {
-			return Recovery{}, err
-		}
-	case "leave":
-		if err := nw.Leave(ev.ID); err != nil {
-			return Recovery{}, err
-		}
-	case "fail":
-		if err := nw.Fail(ev.ID); err != nil {
-			return Recovery{}, err
-		}
-	default:
-		return Recovery{}, fmt.Errorf("churn: unknown event kind %q", ev.Kind)
+	if err := ev.Apply(s.Network()); err != nil {
+		return Recovery{}, err
 	}
 	if maxRounds <= 0 {
 		maxRounds = sim.DefaultBudget(s)

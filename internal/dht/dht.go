@@ -37,9 +37,10 @@ var (
 )
 
 // Resolver locates the owner of a key starting from a home peer,
-// returning the number of inter-peer hops the lookup took. Both
-// routing.Walker (state-walk) and routing.Cache (epoch-cached table
-// routing) implement it.
+// returning the number of inter-peer hops the lookup took.
+// routing.Walker (state-walk), routing.Cache (epoch-cached table
+// routing) and routing.Failover (the cache with a walk fallback, the
+// serving path's router) implement it.
 type Resolver interface {
 	Resolve(from, key ident.ID) (owner ident.ID, hops int, err error)
 }

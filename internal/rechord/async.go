@@ -485,10 +485,6 @@ func (a *AsyncRunner) RunUntilLegal(idl *Ideal, maxSteps, every int) (int, bool)
 	return a.step, idl.Matches(a.nw) == nil
 }
 
-// PendingMessages returns the number of messages currently in flight
-// (InFlight under the legacy name).
-func (a *AsyncRunner) PendingMessages() int { return a.InFlight() }
-
 // PendingByKind breaks the in-flight messages down by edge kind, for
 // the async experiments.
 func (a *AsyncRunner) PendingByKind() map[graph.Kind]int {

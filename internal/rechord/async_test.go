@@ -33,7 +33,7 @@ func TestAsyncConvergesFromRandomStates(t *testing.T) {
 			if !ok {
 				t.Fatalf("async run did not reach the legal state in %d steps", steps)
 			}
-			t.Logf("legal state after %d async steps (%d pending msgs)", steps, runner.PendingMessages())
+			t.Logf("legal state after %d async steps (%d pending msgs)", steps, runner.InFlight())
 		})
 	}
 }
@@ -259,8 +259,8 @@ func TestAsyncConfigDefaults(t *testing.T) {
 	if runner.Steps() != 1 {
 		t.Errorf("Steps = %d, want 1", runner.Steps())
 	}
-	if runner.PendingMessages() < 0 {
-		t.Error("PendingMessages negative")
+	if runner.InFlight() < 0 {
+		t.Error("InFlight negative")
 	}
 	_ = runner.PendingByKind()
 	if runner.Network() != nw {

@@ -253,13 +253,10 @@ func (nw *Network) prepareIndex(i int) {
 	// panic is deferred to the serial epilogue: a panic raised on a pool
 	// goroutine could not be recovered by the tests that prove the
 	// paranoid mode catches injected collisions.
-	p.stateChanged = false
-	if nw.bMode != batchSweep {
-		p.stateChanged = res.hchanged
-		if nw.cfg.ParanoidSettle {
-			if cloneChanged := !n.vnodesEqual(nw.pres[i]); cloneChanged != p.stateChanged {
-				p.paranoidBad = true
-			}
+	p.stateChanged = res.hchanged
+	if nw.cfg.ParanoidSettle {
+		if cloneChanged := !n.vnodesEqual(nw.pres[i]); cloneChanged != p.stateChanged {
+			p.paranoidBad = true
 		}
 	}
 	if nw.cfg.ParanoidSettle && n.lastFlow != nil {
@@ -348,6 +345,13 @@ func (nw *Network) applyDeps(slot uint32, deps []depDelta) {
 			nw.deps.remove(d.id, slot, uint32(-d.k))
 		}
 	}
+}
+
+// rrGroup is one recipient's slice of a peer's output, as
+// groupByRecipient sorts it for buildFlow.
+type rrGroup struct {
+	owner ident.ID
+	msgs  []Message
 }
 
 // groupByRecipient sorts out into per-recipient groups (preserving

@@ -186,8 +186,8 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 	})
 
 	t.Run("fullsweep-churn", func(t *testing.T) {
-		// FullSweep skips the settle path but still routes churn wakes
-		// through the index; the wake cross-check covers those.
+		// FullSweep wakes every peer each round and still routes churn
+		// wakes through the index; the wake cross-check covers those.
 		nw, ids := stableNetCfg(t, 24, 29, Config{Workers: 1, FullSweep: true, ParanoidSettle: true})
 		if err := nw.Fail(ids[5]); err != nil {
 			t.Fatal(err)

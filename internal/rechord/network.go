@@ -26,13 +26,16 @@ type Config struct {
 	// their own state plus an immutable snapshot, and all cross-node
 	// effects are delayed messages merged at the round barrier.
 	Workers int
-	// FullSweep disables the activity-tracked scheduler and runs rules
-	// 1-6 at every peer every round, the paper's literal execution
-	// model. The default incremental schedule produces the identical
+	// FullSweep wakes every live peer at the start of each round, so
+	// rules 1-6 run at every peer every round — the paper's literal
+	// execution model — through the same batch as the incremental
+	// schedule. The default schedule produces the identical
 	// round-by-round global state (see DESIGN.md for the argument and
 	// the lockstep property test for the proof-by-execution); FullSweep
 	// keeps the exhaustive schedule available as the equivalence
-	// baseline and for debugging.
+	// baseline and for debugging. A round in which no peer changes
+	// leaves the frontier empty, so quiescence detects the sweep's
+	// fixed point too.
 	FullSweep bool
 	// ParanoidSettle cross-checks the incremental barrier machinery
 	// against its O(n) baselines on every batch: the hash-based settle
@@ -181,12 +184,6 @@ type Network struct {
 // are live and safe to read concurrently with stepping.
 func (nw *Network) Obs() *obs.EngineMetrics { return &nw.met }
 
-// rrGroup is one recipient's slice of a rerouted output.
-type rrGroup struct {
-	owner ident.ID
-	msgs  []Message
-}
-
 // NewNetwork creates an empty network.
 func NewNetwork(cfg Config) *Network {
 	return &Network{cfg: cfg}
@@ -286,13 +283,6 @@ func (nw *Network) markDirtyIdx(slot uint32) {
 	}
 }
 
-// markDirty is markDirtyIdx for callers holding only the identifier.
-func (nw *Network) markDirty(id ident.ID) {
-	if slot, ok := nw.pt.lookup(id); ok {
-		nw.markDirtyIdx(slot)
-	}
-}
-
 // Wake schedules the peer to run in the next round. State reached
 // through the public API (Step, Join, Leave, Fail, SeedEdge) wakes the
 // affected peers automatically; callers that mutate a peer's state out
@@ -342,10 +332,6 @@ func (nw *Network) FrontierSize() int {
 	return c
 }
 
-// Incremental reports whether the activity-tracked scheduler is in
-// effect (false under Config.FullSweep).
-func (nw *Network) Incremental() bool { return !nw.cfg.FullSweep }
-
 // LastChangeRound returns the most recent round whose execution
 // changed the global state (0 if no round changed anything yet).
 func (nw *Network) LastChangeRound() int { return nw.lastChange }
@@ -362,10 +348,8 @@ func (nw *Network) bumpEpoch(n *RealNode) {
 // routing table read off the peer's virtual nodes, say — is fresh
 // exactly as long as the epoch it was computed under still equals the
 // current one. The second result is false when the peer is not in the
-// network. The incremental scheduler stamps only peers whose state
-// actually changed; under Config.FullSweep every executed peer is
-// stamped every round (conservative, so caches merely lose their
-// effectiveness, never their correctness).
+// network. Only peers whose state actually changed are stamped, under
+// Config.FullSweep (a wake-all) as under the incremental schedule.
 func (nw *Network) PeerEpoch(id ident.ID) (int, bool) {
 	n := nw.pt.node(id)
 	if n == nil {
@@ -639,8 +623,8 @@ func (nw *Network) ensurePool(workers int) *workerPool {
 // at every dirty peer (in parallel) and merge the effects at the round
 // barrier. Clean peers are skipped; their state and standing output
 // are provably what a full sweep would recompute. Under
-// Config.FullSweep every peer is dirtied first, reproducing the
-// paper's literal schedule.
+// Config.FullSweep every peer is woken first, reproducing the paper's
+// literal schedule through the same batch.
 func (nw *Network) Step() RoundStats {
 	nw.round++
 	nw.met.Steps.Inc()
@@ -664,11 +648,7 @@ func (nw *Network) Step() RoundStats {
 		return stats
 	}
 
-	mode := batchSync
-	if nw.cfg.FullSweep {
-		mode = batchSweep
-	}
-	if nw.runBatch(active, mode, &stats) {
+	if nw.runBatch(active, batchSync, &stats) {
 		nw.lastChange = nw.round
 	}
 	nw.finishBatch()
@@ -709,12 +689,10 @@ type batchMode uint8
 
 const (
 	// batchSync is the activity-tracked synchronous round (also the
-	// partition's): settled peers leave the frontier, changed outputs
-	// are rewritten into the recipients' buckets.
+	// partition's and, with every peer woken, the full sweep's):
+	// settled peers leave the frontier, changed outputs are rewritten
+	// into the recipients' buckets.
 	batchSync batchMode = iota
-	// batchSweep is Config.FullSweep: no settle decision, every
-	// executed peer is re-stamped and none leaves the frontier early.
-	batchSweep
 	// batchAsync is the asynchronous runner's batch: the three-way link
 	// rule of prepAsyncEffects replaces the synchronous rewrite.
 	batchAsync
@@ -749,7 +727,6 @@ func (nw *Network) runBatch(active []uint32, mode batchMode, stats *RoundStats) 
 	}
 	results := nw.results[:len(active)]
 	changed := false
-	settle := mode != batchSweep
 
 	workers := nw.parallelism()
 	nw.bActive, nw.bMode = active, mode
@@ -771,7 +748,7 @@ func (nw *Network) runBatch(active []uint32, mode batchMode, stats *RoundStats) 
 	if br.phase1 == nil {
 		br.phase1 = func(i int) {
 			n := nw.pt.nodes[nw.bActive[i]]
-			if nw.bMode != batchSweep && nw.cfg.ParanoidSettle {
+			if nw.cfg.ParanoidSettle {
 				nw.pres[i] = n.cloneVNodes(nw.pres[i])
 			}
 			if len(n.inbox) > 0 {
@@ -845,7 +822,7 @@ func (nw *Network) runBatch(active []uint32, mode batchMode, stats *RoundStats) 
 		if p.paranoidBad {
 			panic(fmt.Sprintf("rechord: settle hash says changed=%v but clone compare says %v for peer %s", p.stateChanged, !p.stateChanged, n.id))
 		}
-		if settle && nw.cfg.ParanoidSettle {
+		if nw.cfg.ParanoidSettle {
 			nw.pres[i] = nw.pres[i][:0] // keep the buffer for the next batch
 		}
 		if p.ownerChanged {
@@ -858,25 +835,18 @@ func (nw *Network) runBatch(active []uint32, mode batchMode, stats *RoundStats) 
 		if p.outChanged {
 			changed = true
 		}
-		if settle {
-			if p.stateChanged {
-				nw.bumpEpoch(n)
-				epochBumpN++
-			}
-			if p.outChanged || p.stateChanged {
-				// Not a local fixed point yet: stay on the frontier.
-				nw.markDirtyIdx(slot)
-				changed = true
-				unsettledN++
-			} else {
-				settledN++
-			}
-		} else {
-			// The full sweep keeps no pre-round copy to diff against, so
-			// every executed peer is stamped (conservative: epoch-keyed
-			// caches rebuild each round but never serve stale state).
+		if p.stateChanged {
 			nw.bumpEpoch(n)
 			epochBumpN++
+		}
+		settled := !p.outChanged && !p.stateChanged
+		if settled {
+			settledN++
+		} else {
+			// Not a local fixed point yet: stay on the frontier.
+			nw.markDirtyIdx(slot)
+			changed = true
+			unsettledN++
 		}
 		// lastFlow adopts the batch template (taking over the builder's
 		// reference); the old generation loses its sender reference and
@@ -892,12 +862,13 @@ func (nw *Network) runBatch(active []uint32, mode batchMode, stats *RoundStats) 
 			nw.flow.tallyBirth(p.newFlow)
 			p.newFlow = nil
 		}
-		if settle && !p.outChanged && !p.stateChanged {
+		if settled && !nw.cfg.FullSweep {
 			// Local fixed point: the peer just left the frontier, and
 			// its rule scratch is re-derivable on the next wake.
 			// Releasing it means a settled peer holds only protocol
 			// state, its standing flow, and its last output — the
-			// number bench-mem tracks.
+			// number bench-mem tracks. The full sweep wakes every peer
+			// again next round, so there the scratch is kept.
 			n.scratch = ruleScratch{}
 		} else if cap(out) > 4*len(out)+8 {
 			n.scratch.out = nil

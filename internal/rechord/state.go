@@ -134,7 +134,7 @@ type RealNode struct {
 
 	// dirty marks the peer as a member of the round frontier: its
 	// inputs may have changed since it last ran, so the next Step must
-	// run its rules. Managed by Network.markDirty and Step.
+	// run its rules. Managed by Network.markDirtyIdx and Step.
 	dirty bool
 
 	// epoch is the peer's change epoch: a network-wide monotone stamp
@@ -248,15 +248,9 @@ func (n *RealNode) vnodesByLevel() []*VNode {
 	return out
 }
 
-// knownSet computes N(u): the refs of all siblings plus the union of
-// the unmarked neighborhoods of all virtual nodes (Section 2.2).
-func (n *RealNode) knownSet() ref.Set {
-	var known ref.Set
-	n.knownSetInto(&known)
-	return known
-}
-
-// knownSetInto fills s with N(u), reusing its storage. The union is
+// knownSetInto fills s with N(u) — the refs of all siblings plus the
+// union of the unmarked neighborhoods of all virtual nodes (Section
+// 2.2) — reusing its storage. The union is
 // built by linear merges of the (already sorted) per-level
 // neighborhoods instead of element-wise sorted insertion: at large m
 // this is the single hottest operation of a round.

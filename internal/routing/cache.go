@@ -300,8 +300,13 @@ func (c *Cache) Prune() int {
 	return dropped
 }
 
-// Len returns the number of cached tables.
+// Len returns the number of cached tables. The stats accessors (Len,
+// Stats, Invalidations) read zero on a nil cache, the walk-only
+// router's.
 func (c *Cache) Len() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n := 0
@@ -315,19 +320,25 @@ func (c *Cache) Len() int {
 
 // Stats returns the hit/miss counters since creation.
 func (c *Cache) Stats() (hits, misses uint64) {
+	if c == nil {
+		return 0, 0
+	}
 	return c.hits.Load(), c.misses.Load()
 }
 
 // Invalidations returns how many cached tables were found stale at
 // lookup time since creation (a subset of the misses).
 func (c *Cache) Invalidations() uint64 {
+	if c == nil {
+		return 0
+	}
 	return c.invalidations.Load()
 }
 
 // Walker adapts the state-walk Route (which hops along raw Re-Chord
 // edges and tolerates mid-stabilization state) to the same Resolve
-// shape as Cache, so the DHT and the workload engine can swap between
-// them.
+// shape as Cache. It is Failover's fallback and the whole of a
+// walk-only Failover.
 type Walker struct {
 	NW *rechord.Network
 }

@@ -12,6 +12,10 @@ import (
 )
 
 func lineNetwork(n int, seed int64) (*rechord.Network, []ident.ID) {
+	return lineNetworkCfg(n, seed, rechord.Config{Workers: 1})
+}
+
+func lineNetworkCfg(n int, seed int64, cfg rechord.Config) (*rechord.Network, []ident.ID) {
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[ident.ID]bool{}
 	var ids []ident.ID
@@ -23,7 +27,7 @@ func lineNetwork(n int, seed int64) (*rechord.Network, []ident.ID) {
 		seen[id] = true
 		ids = append(ids, id)
 	}
-	nw := rechord.NewNetwork(rechord.Config{Workers: 1})
+	nw := rechord.NewNetwork(cfg)
 	for _, id := range ids {
 		nw.AddPeer(id)
 	}
@@ -54,6 +58,29 @@ func TestRunReachesFixedPoint(t *testing.T) {
 	}
 	if res.Series[0].RealNodes != 12 {
 		t.Errorf("series real nodes = %d, want 12", res.Series[0].RealNodes)
+	}
+}
+
+// TestRunFullSweepFixedPoint: Config.FullSweep wakes every peer each
+// round, and quiescence detects the sweep's fixed point at the same
+// round, with the same message count and in the same state, as the
+// incremental schedule.
+func TestRunFullSweepFixedPoint(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		inc, _ := lineNetworkCfg(16, seed, rechord.Config{Workers: 1})
+		full, _ := lineNetworkCfg(16, seed, rechord.Config{Workers: 1, FullSweep: true})
+		ri := Run(context.Background(), inc, Options{})
+		rf := Run(context.Background(), full, Options{})
+		if !ri.Stable || !rf.Stable {
+			t.Fatalf("seed %d: stable %v (incremental), %v (full sweep)", seed, ri.Stable, rf.Stable)
+		}
+		if ri.Rounds != rf.Rounds || ri.TotalMessages != rf.TotalMessages {
+			t.Errorf("seed %d: %d rounds/%d msgs (incremental) vs %d/%d (full sweep)",
+				seed, ri.Rounds, ri.TotalMessages, rf.Rounds, rf.TotalMessages)
+		}
+		if !inc.TakeSnapshot().Equal(full.TakeSnapshot()) {
+			t.Errorf("seed %d: the two schedules stopped in different states", seed)
+		}
 	}
 }
 

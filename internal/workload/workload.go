@@ -8,10 +8,12 @@
 // for (Theorem 1.1's "faithfully emulate any applications on top of
 // Chord", under the churn of Section 4).
 //
-// The hot path is built on the two layers refactored for it: the
+// The engine wires nothing of its own: the caller hands it the
 // sharded dht.Store (per-peer buckets behind fine-grained locks) and
-// the epoch-cached routing.Cache (tables invalidated by peer change
-// epochs instead of rebuilt per lookup). Per-op latency and hop counts
+// the routing.Failover that store resolves through (epoch-cached
+// table routing with a state-walk fallback), so a run's writes land in
+// the caller's store and its lookups in the caller's router counters.
+// Per-op latency and hop counts
 // are recorded into per-worker stats.Histogram shards and merged after
 // the run, so the measurement itself adds no cross-worker contention.
 //
@@ -106,18 +108,8 @@ type Config struct {
 	// this many ops/sec across all workers; 0 is a closed loop (each
 	// worker fires its next op as soon as the previous returns).
 	Rate float64
-	// NoCache disables the epoch-cached table router and routes every
-	// operation through the state-walk router (the baseline the cache
-	// is measured against).
-	NoCache bool
 	// Churn interleaves membership events with the traffic.
 	Churn ChurnConfig
-	// Cache, when non-nil (and NoCache unset), is the router cache to
-	// serve table lookups from instead of a fresh per-run one — the
-	// cluster facade injects its long-lived cache so hit/miss/
-	// invalidation telemetry spans the cache's whole life while the
-	// run's report stays a per-run delta.
-	Cache *routing.Cache
 	// Obs, when non-nil, receives live serving-path telemetry during
 	// the run (in-flight gauge, error taxonomy, sharded latency/hop
 	// histograms) in addition to the per-run Result. It must have at
@@ -204,15 +196,16 @@ type Result struct {
 	Hops    *stats.Histogram // all ops, inter-peer hops
 	PerOp   [numOps]OpStats
 
-	CacheHits, CacheMisses uint64 // routing.Cache counters (0 with NoCache)
+	CacheHits, CacheMisses uint64 // router cache counters (0 when walk-only)
 	ChurnApplied           int    // membership events actually applied
 
 	// OpsFingerprint hashes every worker's (kind, key) op sequence,
 	// combined order-insensitively across workers; StoreFingerprint
-	// hashes the final key -> value contents independent of bucket
+	// and StoreLen describe the store's final key -> value contents
+	// (pairs stored before the run included), independent of bucket
 	// placement. Same seed + config reproduce both (StoreFingerprint
-	// additionally requires a churn-free run, since a mid-churn routing
-	// failure can drop a write).
+	// additionally requires the same starting contents and a churn-free
+	// run, since a mid-churn routing failure can drop a write).
 	OpsFingerprint   uint64
 	StoreFingerprint uint64
 	StoreLen         int
@@ -225,24 +218,6 @@ func (r *Result) Summary() string {
 		time.Duration(r.Latency.Percentile(50)), time.Duration(r.Latency.Percentile(99)),
 		time.Duration(r.Latency.Percentile(99.9)),
 		r.Hops.Mean(), r.Hops.Percentile(99), r.Errors, r.NotFound, r.Fallbacks)
-}
-
-// failoverResolver routes through the epoch-cached table router and
-// falls back to the state-walk router when a table is incomplete or
-// stale mid-churn — table routing is the fast path, the walk is the
-// one that tolerates partially repaired state.
-type failoverResolver struct {
-	cache     *routing.Cache
-	walk      routing.Walker
-	fallbacks *atomic.Int64
-}
-
-func (r failoverResolver) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	if owner, hops, err := r.cache.Resolve(from, key); err == nil {
-		return owner, hops, nil
-	}
-	r.fallbacks.Add(1)
-	return r.walk.Resolve(from, key)
 }
 
 // workerResult is one worker's private telemetry shard; merged after
@@ -263,27 +238,26 @@ type workerResult struct {
 var opStall func(w, i int)
 
 type engine struct {
-	sched rechord.Scheduler
-	nw    *rechord.Network
-	cfg   Config
-	store *dht.Store
-	cache *routing.Cache
+	sched  rechord.Scheduler
+	nw     *rechord.Network
+	cfg    Config
+	store  *dht.Store
+	router *routing.Failover
 
 	// netMu serializes network mutation (churn driver, write side)
 	// against routing reads (workers, read side).
 	netMu sync.RWMutex
 
-	opsDone   atomic.Int64
-	fallbacks atomic.Int64
-	deadline  time.Time
-
-	// Cache counters at run start, so the result reports a per-run
-	// delta even over an injected long-lived cache.
-	cacheHits0, cacheMisses0 uint64
+	opsDone  atomic.Int64
+	deadline time.Time
 }
 
-// Run drives the workload against the scheduler's network and returns
-// the merged telemetry. Passing the network itself serves traffic
+// Run drives the workload against the scheduler's network through the
+// caller's store and router and returns the merged telemetry. The
+// store must resolve through router, and both must sit on the
+// scheduler's network. Preloaded and written pairs stay in the store
+// after the run; the report's cache and fallback counts are per-run
+// deltas of the router's own counters. Passing the network itself serves traffic
 // under the synchronous round engine; passing a rechord.AsyncRunner
 // serves the same traffic while re-stabilization proceeds under the
 // asynchronous adversary — lookups then race genuinely stale state
@@ -297,7 +271,7 @@ type engine struct {
 // gathered so far together with ctx.Err(); the network is left at a
 // step barrier, consistent and steppable (possibly mid-repair — run
 // sim.Run on the same scheduler to finish the re-stabilization).
-func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, error) {
+func Run(ctx context.Context, sched rechord.Scheduler, store *dht.Store, router *routing.Failover, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -309,24 +283,9 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 		return nil, err
 	}
 	nw := sched.Network()
-	e := &engine{sched: sched, nw: nw, cfg: cfg}
-
-	var resolver dht.Resolver
-	var hits0, misses0 uint64
-	if cfg.NoCache {
-		resolver = routing.Walker{NW: nw}
-	} else {
-		e.cache = cfg.Cache
-		if e.cache == nil {
-			e.cache = routing.NewCache(nw)
-		}
-		// The caller may hand in a long-lived, pre-warmed cache; the
-		// run's report stays a per-run delta either way.
-		hits0, misses0 = e.cache.Stats()
-		resolver = failoverResolver{cache: e.cache, walk: routing.Walker{NW: nw}, fallbacks: &e.fallbacks}
-	}
-	e.cacheHits0, e.cacheMisses0 = hits0, misses0
-	e.store = dht.NewWithResolver(nw, resolver)
+	e := &engine{sched: sched, nw: nw, cfg: cfg, store: store, router: router}
+	hits0, misses0 := router.Cache().Stats()
+	fallbacks0 := router.Fallbacks()
 
 	homes := nw.Peers()
 	if len(homes) == 0 {
@@ -378,7 +337,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	res := &Result{
 		Elapsed:      elapsed,
 		ChurnApplied: applied,
-		Fallbacks:    int(e.fallbacks.Load()),
+		Fallbacks:    int(router.Fallbacks() - fallbacks0),
 		Latency:      &stats.Histogram{},
 		Hops:         &stats.Histogram{},
 	}
@@ -403,12 +362,10 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	if elapsed > 0 {
 		res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	}
-	if e.cache != nil {
-		hits, misses := e.cache.Stats()
-		res.CacheHits, res.CacheMisses = hits-e.cacheHits0, misses-e.cacheMisses0
-	}
-	res.StoreFingerprint = e.store.Fingerprint()
-	res.StoreLen = e.store.Len()
+	hits, misses := router.Cache().Stats()
+	res.CacheHits, res.CacheMisses = hits-hits0, misses-misses0
+	res.StoreFingerprint = store.Fingerprint()
+	res.StoreLen = store.Len()
 	return res, ctx.Err()
 }
 
@@ -581,15 +538,7 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 			return applied
 		}
 		e.netMu.Lock()
-		var err error
-		switch ev.Kind {
-		case "join":
-			err = e.nw.Join(ev.ID, ev.Contact)
-		case "leave":
-			err = e.nw.Leave(ev.ID)
-		case "fail":
-			err = e.nw.Fail(ev.ID)
-		}
+		err := ev.Apply(e.nw)
 		e.netMu.Unlock()
 		if err != nil {
 			// The event list was generated against pre-run membership;
@@ -635,9 +584,7 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 		// entries whose peers changed or departed.
 		e.netMu.RLock()
 		_, _ = e.store.Rebalance()
-		if e.cache != nil {
-			e.cache.Prune()
-		}
+		e.router.Prune()
 		e.netMu.RUnlock()
 	}
 	return applied

@@ -25,9 +25,16 @@ func stableNet(t testing.TB, n int, seed int64) (*rechord.Network, []ident.ID) {
 	return nw, ids
 }
 
+// run drives Run through a fresh store over a cached failover router
+// on the scheduler's network, the wiring the cluster facade holds.
+func run(ctx context.Context, s rechord.Scheduler, cfg Config) (*Result, error) {
+	router := routing.NewFailover(s.Network(), true)
+	return Run(ctx, s, dht.NewWithResolver(s.Network(), router), router, cfg)
+}
+
 func TestRunSmoke(t *testing.T) {
 	nw, _ := stableNet(t, 24, 1)
-	res, err := Run(context.Background(), nw, Config{Workers: 4, Ops: 800, Keyspace: 256, Preload: 128, Seed: 42})
+	res, err := run(context.Background(), nw, Config{Workers: 4, Ops: 800, Keyspace: 256, Preload: 128, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +74,12 @@ func TestRunReproducible(t *testing.T) {
 			Distribution: dist, Seed: 7,
 		}
 		nw1, _ := stableNet(t, 20, 3)
-		r1, err := Run(context.Background(), nw1, cfg)
+		r1, err := run(context.Background(), nw1, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", dist, err)
 		}
 		nw2, _ := stableNet(t, 20, 3)
-		r2, err := Run(context.Background(), nw2, cfg)
+		r2, err := run(context.Background(), nw2, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", dist, err)
 		}
@@ -86,7 +93,7 @@ func TestRunReproducible(t *testing.T) {
 		// A different seed must actually change the stream.
 		cfg.Seed = 8
 		nw3, _ := stableNet(t, 20, 3)
-		r3, err := Run(context.Background(), nw3, cfg)
+		r3, err := run(context.Background(), nw3, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", dist, err)
 		}
@@ -102,7 +109,7 @@ func TestRunReproducible(t *testing.T) {
 // under them. Run with -race (the CI race job does).
 func TestRaceWorkersAgainstChurn(t *testing.T) {
 	nw, _ := stableNet(t, 48, 5)
-	res, err := Run(context.Background(), nw, Config{
+	res, err := run(context.Background(), nw, Config{
 		Workers: 8, Ops: 2400, Keyspace: 512, Preload: 256, Seed: 11,
 		Distribution: DistZipf,
 		Churn:        ChurnConfig{Events: 4, EveryOps: 400, StepChunk: 2},
@@ -146,7 +153,7 @@ func TestCancelMidRunLeavesNetworkSteppable(t *testing.T) {
 	go func() {
 		// Effectively unbounded ops with churn spaced tightly, so the
 		// run is mid-traffic and mid-churn whenever the cancel lands.
-		res, err := Run(ctx, nw, Config{
+		res, err := run(ctx, nw, Config{
 			Workers: 4, Ops: 50_000_000, Keyspace: 512, Preload: 128, Seed: 7,
 			Churn: ChurnConfig{Events: 1000, EveryOps: 200, StepChunk: 1},
 		})
@@ -248,7 +255,7 @@ func TestOpenLoopPacing(t *testing.T) {
 		t.Skip("paced run sleeps on the wall clock")
 	}
 	nw, _ := stableNet(t, 16, 13)
-	res, err := Run(context.Background(), nw, Config{Workers: 2, Ops: 200, Keyspace: 64, Seed: 1, Rate: 2000})
+	res, err := run(context.Background(), nw, Config{Workers: 2, Ops: 200, Keyspace: 64, Seed: 1, Rate: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +287,7 @@ func TestOpenLoopStallDelaysQueuedOps(t *testing.T) {
 		}
 	}
 	defer func() { opStall = nil }()
-	res, err := Run(context.Background(), nw, Config{Workers: 1, Ops: 40, Keyspace: 64, Seed: 1, Rate: 1000})
+	res, err := run(context.Background(), nw, Config{Workers: 1, Ops: 40, Keyspace: 64, Seed: 1, Rate: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,22 +300,22 @@ func TestOpenLoopStallDelaysQueuedOps(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	nw, _ := stableNet(t, 8, 17)
-	if _, err := Run(context.Background(), nw, Config{Workers: 4, Ops: 10, Keyspace: 2}); err == nil {
+	if _, err := run(context.Background(), nw, Config{Workers: 4, Ops: 10, Keyspace: 2}); err == nil {
 		t.Error("keyspace < workers must error")
 	}
-	if _, err := Run(context.Background(), nw, Config{Workers: 2}); err == nil {
+	if _, err := run(context.Background(), nw, Config{Workers: 2}); err == nil {
 		t.Error("no Ops and no Duration must error")
 	}
-	if _, err := Run(context.Background(), nw, Config{Ops: 10, GetFrac: 0.5, PutFrac: 0.1, DeleteFrac: 0.1}); err == nil {
+	if _, err := run(context.Background(), nw, Config{Ops: 10, GetFrac: 0.5, PutFrac: 0.1, DeleteFrac: 0.1}); err == nil {
 		t.Error("op mix not summing to 1 must error")
 	}
-	if _, err := Run(context.Background(), nw, Config{Ops: 10, Distribution: "pareto"}); err == nil {
+	if _, err := run(context.Background(), nw, Config{Ops: 10, Distribution: "pareto"}); err == nil {
 		t.Error("unknown distribution must error")
 	}
-	if _, err := Run(context.Background(), nw, Config{Duration: time.Second, Churn: ChurnConfig{Events: 3}}); err == nil {
+	if _, err := run(context.Background(), nw, Config{Duration: time.Second, Churn: ChurnConfig{Events: 3}}); err == nil {
 		t.Error("duration mode with churn but no EveryOps must error")
 	}
-	if _, err := Run(context.Background(), rechord.NewNetwork(rechord.Config{}), Config{Ops: 10}); err == nil {
+	if _, err := run(context.Background(), rechord.NewNetwork(rechord.Config{}), Config{Ops: 10}); err == nil {
 		t.Error("empty network must error")
 	}
 }
@@ -364,7 +371,7 @@ func TestNotFoundNotCountedAsError(t *testing.T) {
 		t.Fatalf("Get(absent) = %v, want ErrNotFound", err)
 	}
 	// A pure-Get run over an empty store: all misses, zero errors.
-	res, err := Run(context.Background(), nw, Config{Workers: 2, Ops: 100, Keyspace: 50, Seed: 3, GetFrac: 1, PutFrac: 0, DeleteFrac: 0})
+	res, err := run(context.Background(), nw, Config{Workers: 2, Ops: 100, Keyspace: 50, Seed: 3, GetFrac: 1, PutFrac: 0, DeleteFrac: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
